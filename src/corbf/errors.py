@@ -41,9 +41,13 @@ class DivergenceError(CorbfError):
     """Training produced a non-finite or absurdly large instantaneous error.
 
     Attributes:
-        epoch: zero-based epoch index at which divergence was detected.
-        sample: zero-based sample index within the epoch.
+        epoch: 1-based epoch at which divergence was detected.
+        sample: 1-based training-set index (column of X) of the first failing
+            sample; under shuffling this is not its position in the epoch.
         error_value: the offending instantaneous error.
+
+    fit raises with these 1-based values, and the manifest records them;
+    sgd_step echoes whatever epoch and sample its caller passes.
     """
 
     def __init__(self, epoch: int, sample: int, error_value: float):

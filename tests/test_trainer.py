@@ -1,16 +1,22 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from corbf import bench
 from corbf.errors import (DivergenceError, EmptyInputError, InvalidConfigError)
 from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
                            kernel_matrix, kernel_vector)
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
                          MultiHeadRbfModel, RbfModel, forward, forward_batch)
-from corbf.trainer import (TrainConfig, TrainTrace, fit, learning_rate_bound,
-                           multi_seed_run, read_trace_csv, sgd_step,
-                           write_trace_csv)
+from corbf.trainer import (BLOCK_SIZE, INIT_KINDS, TrainConfig, TrainTrace,
+                           fit, learning_rate_bound, multi_seed_run,
+                           read_trace_csv, sgd_step, write_trace_csv)
 
-from helpers import check_gradients
+from helpers import check_gradients, replay_fit, run_python
 
 
 def small_bank(rng, a=2, K=3, sigma=1.0):
@@ -229,6 +235,117 @@ class TestFit:
                 TrainConfig(eta=0.1, epochs=1))
 
 
+def linear_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0):
+    """A random fixed- or co-fusion model with S samples and real targets.
+
+    eta is frac / max ||phi_s||^2 over the co design, which also bounds the
+    mixed fixed design, so no per-sample step expands the error for frac <= 2.
+    """
+    rng = np.random.default_rng(seed)
+    bank = KernelBank(rng.normal(size=(a, K)),
+                      GaussianParams(float(rng.uniform(0.5, 2.0))), CosineParams())
+    X = rng.normal(size=(a, S))
+    phi = kernel_matrix(X, bank)
+    eta = frac / float(np.max(np.sum(phi * phi, axis=0)))
+    heads = [make_model(rng, bank, CoFusion() if mode == "co" else FixedFusion(0.3, 0.7))
+             for _ in range(n_heads)]
+    if n_heads == 1:
+        return heads[0], X, rng.normal(size=S), eta
+    return MultiHeadRbfModel(heads), X, rng.normal(size=(n_heads, S)), eta
+
+
+def head_params(model):
+    heads = model.heads if isinstance(model, MultiHeadRbfModel) else [model]
+    return np.concatenate([np.concatenate(([h.bias], np.ravel(h.weights)))
+                           for h in heads])
+
+
+def assert_fit_matches_replay(model, X, D, cfg):
+    reference = model.copy()
+    trace = fit(model, X, D, cfg)
+    mse = replay_fit(reference, X, D, cfg)
+    np.testing.assert_allclose(trace.mse_linear, mse, rtol=1e-12)
+    want = head_params(reference)
+    # relative to the largest parameter, so a weight that stays near zero
+    # is not held to a relative bound on its own rounding
+    np.testing.assert_allclose(head_params(trace.final_model), want, rtol=1e-12,
+                               atol=1e-12 * float(np.max(np.abs(want))))
+
+
+class TestBlockEngine:
+    """fit's exact block engine for fixed and co fusion against sgd_step."""
+
+    @pytest.mark.parametrize("init", INIT_KINDS)
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_three_blocks_match_sequential_steps(self, mode, n_heads, shuffle, init):
+        S = 2 * BLOCK_SIZE + 44
+        model, X, D, eta = linear_problem(mode, n_heads, S, seed=60)
+        assert_fit_matches_replay(model, X, D, TrainConfig(
+            eta=eta, epochs=2, seed=7, shuffle=shuffle, init=init))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(mode=st.sampled_from(["fixed", "co"]), n_heads=st.sampled_from([1, 3]),
+           shuffle=st.booleans(), init=st.sampled_from(INIT_KINDS),
+           S=st.integers(1, 2 * BLOCK_SIZE + 75), a=st.integers(1, 3),
+           K=st.integers(1, 4), epochs=st.integers(1, 3),
+           frac=st.floats(0.01, 1.9), seed=st.integers(0, 2**32 - 1))
+    def test_random_designs_match_sequential_steps(self, mode, n_heads, shuffle, init,
+                                                   S, a, K, epochs, frac, seed):
+        model, X, D, eta = linear_problem(mode, n_heads, S, a, K, frac, seed)
+        assert_fit_matches_replay(model, X, D, TrainConfig(
+            eta=eta, epochs=epochs, seed=seed, shuffle=shuffle, init=init))
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("frac,bad_target", [(5.0, None), (1e14, None),
+                                                  (1.5, np.nan), (1.5, 1e13)])
+    def test_divergence_names_first_failing_step(self, frac, bad_target, shuffle,
+                                                 n_heads):
+        # At frac 5 every step expands the errors, and the first to fail sits
+        # at presented positions 123-195, past the first block when unshuffled.
+        # At 1e14 they overflow within the first block. A bad target at
+        # training-set index 200 trips the stable engine's own check, where a
+        # pivoted solve may spread a NaN to the errors before it.
+        S = 2 * BLOCK_SIZE + 44
+        model, X, D, eta = linear_problem("co", n_heads, S, frac=frac, seed=61)
+        if bad_target is not None:
+            D[..., 200] = bad_target
+        cfg = TrainConfig(eta=eta, epochs=3, seed=3, shuffle=shuffle, init="keep")
+        with pytest.raises(DivergenceError) as want:
+            replay_fit(model.copy(), X, D, cfg)
+        if not shuffle and frac != 1e14:
+            assert want.value.sample > BLOCK_SIZE
+        with pytest.raises(DivergenceError) as got:
+            fit(model, X, D, cfg)
+        assert (got.value.epoch, got.value.sample) == (want.value.epoch, want.value.sample)
+        np.testing.assert_allclose(got.value.error_value, want.value.error_value,
+                                   rtol=1e-12)
+
+    def test_import_and_fit_load_no_scipy(self):
+        # scipy's import alone would cost a fresh process 0.2-0.4 s, and the
+        # package declares numpy as its only dependency
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import corbf
+            from corbf.kernels import CosineParams, GaussianParams, KernelBank
+            from corbf.model import CoFusion, RbfModel
+            from corbf.trainer import TrainConfig, fit
+            rng = np.random.default_rng(0)
+            bank = KernelBank(rng.normal(size=(2, 3)), GaussianParams(1.0), CosineParams())
+            X, D = rng.normal(size=(2, 200)), rng.normal(size=200)
+            for shuffle in (False, True):
+                fit(RbfModel(bank, CoFusion(), np.zeros((3, 2))), X, D,
+                    TrainConfig(eta=0.01, epochs=3, shuffle=shuffle))
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        out = run_python("-c", code, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -276,6 +393,18 @@ class TestLearningRateBound:
         lam_max = float(np.linalg.eigvalsh(R)[-1])
         np.testing.assert_allclose(learning_rate_bound(Phi), 1.0 / lam_max,
                                    rtol=1e-8)
+
+    @pytest.mark.parametrize("task", ["funapprox", "sysid"])
+    def test_benchmark_designs_match_dense_eigensolver(self, task, monkeypatch):
+        # both designs are symmetric, and the dominant eigenvector of each is
+        # orthogonal to the all-ones vector a power iteration would start from
+        designs = []
+        monkeypatch.setattr(bench, "learning_rate_bound",
+                            lambda Phi: designs.append(Phi) or learning_rate_bound(Phi))
+        bound = bench.bound_probe(task)["bound"]
+        (Phi,) = designs
+        lam_max = float(np.linalg.eigvalsh((Phi @ Phi.T) / Phi.shape[1])[-1])
+        np.testing.assert_allclose(bound, 1.0 / lam_max, rtol=1e-8)
 
     def test_all_zero_rejected(self):
         with pytest.raises(EmptyInputError):
