@@ -1,9 +1,11 @@
-"""Primary kernels (Gaussian, cosine) and the stacked kernel response vector.
+"""Primary kernels (Gaussian, cosine) and the stacked kernel response design.
 
-All evaluations are double precision with a fixed operation order, so repeated
-calls on identical inputs are bit-identical, and the stacked vector is built
-from the very same scalar evaluations exposed by gaussian_kernel and
-cosine_kernel.
+kernel_matrix is the one evaluator: it broadcasts both kernels over a whole
+sample matrix in double precision, with the difference form sum_a (x - m)^2
+and no BLAS product, so every entry follows a fixed operation order of its
+own. kernel_vector is its one-column case and gaussian_kernel/cosine_kernel
+its one-center, one-sample case, so all of them agree bit for bit by
+construction, and repeated calls on identical inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -92,76 +94,51 @@ class KernelBank:
 
 
 def _as_vector(what: str, x, dim: int) -> np.ndarray:
-    # Contiguity matters: dot products can differ by an ulp between strided
-    # and contiguous code paths, which would break the bit-exactness contract
-    # between scalar kernels and the stacked/batch assemblers.
-    x = np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=np.float64)))
+    # No contiguous copy is needed: every response is computed elementwise,
+    # and elementwise results do not depend on memory layout.
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     actual = x.shape[0] if x.ndim == 1 else -1
     if actual != dim:
         raise DimensionMismatchError(what, dim, actual)
     return x
 
 
-def _check_pair(op: str, x, m) -> tuple[np.ndarray, np.ndarray]:
-    x = np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=np.float64)))
-    if x.ndim != 1:
-        raise DimensionMismatchError(f"{op} input", 1, x.ndim)
-    m = _as_vector(f"{op} center vs input", m, x.shape[0])
-    return x, m
-
-
-def _gaussian(x: np.ndarray, m: np.ndarray, sigma: float) -> float:
-    diff = x - m
-    sq_dist = float(np.dot(diff, diff))
-    return float(np.exp(-sq_dist / (sigma * sigma)))
-
-
-def _cosine(x: np.ndarray, m: np.ndarray, epsilon: float) -> float:
-    num = float(np.dot(x, m))
-    denom = float(np.linalg.norm(x)) * float(np.linalg.norm(m)) + epsilon
-    return num / denom
+def _one_center_bank(op: str, m, **params) -> KernelBank:
+    m = np.atleast_1d(np.asarray(m, dtype=np.float64))
+    if m.ndim != 1:
+        raise DimensionMismatchError(f"{op} center", 1, m.ndim)
+    return KernelBank(m[:, np.newaxis], **params)
 
 
 def gaussian_kernel(x: np.ndarray, m: np.ndarray, p: GaussianParams) -> float:
     """exp(-||x - m||^2 / sigma^2); equals 1 at x == m, decays with distance."""
-    x, m = _check_pair("gaussian_kernel", x, m)
-    return _gaussian(x, m, p.sigma)
+    bank = _one_center_bank("gaussian_kernel", m, gaussian=p, kernel_order=("gaussian",))
+    return float(kernel_vector(x, bank)[1])
 
 
 def cosine_kernel(x: np.ndarray, m: np.ndarray, p: CosineParams) -> float:
     """(x . m) / (||x|| ||m|| + epsilon); 0 whenever either vector is zero."""
-    x, m = _check_pair("cosine_kernel", x, m)
-    return _cosine(x, m, p.epsilon)
-
-
-_SCALAR = {"gaussian": lambda x, m, bank: _gaussian(x, m, bank.gaussian.sigma),
-           "cosine": lambda x, m, bank: _cosine(x, m, bank.cosine.epsilon)}
+    bank = _one_center_bank("cosine_kernel", m, cosine=p, kernel_order=("cosine",))
+    return float(kernel_vector(x, bank)[1])
 
 
 def kernel_vector(x: np.ndarray, bank: KernelBank) -> np.ndarray:
     """Stacked response [1, gaussian responses (K,), cosine responses (K,)].
 
     The leading 1 is the bias channel. Layout follows bank.kernel_order and is
-    fixed project-wide so weight indexing stays unambiguous. Entries are the
-    exact scalar kernel values, element for element.
+    fixed project-wide so weight indexing stays unambiguous. This is the
+    one-column case of kernel_matrix.
     """
     x = _as_vector("kernel_vector input vs bank", x, bank.input_dim)
-    K = bank.n_centers
-    out = np.empty(bank.vector_len, dtype=np.float64)
-    out[0] = 1.0
-    columns = [np.ascontiguousarray(bank.centers[:, k]) for k in range(K)]
-    for i, name in enumerate(bank.kernel_order):
-        scalar = _SCALAR[name]
-        base = 1 + i * K
-        for k in range(K):
-            out[base + k] = scalar(x, columns[k], bank)
-    return out
+    return kernel_matrix(x[:, np.newaxis], bank)[:, 0]
 
 
 def kernel_matrix(X: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """Column-wise kernel_vector over a sample matrix X of shape (a, S).
+    """Stacked responses of every column of X (shape (a, S)), shape (1 + L*K, S).
 
-    Column j is bit-identical to kernel_vector(X[:, j], bank).
+    Column j is kernel_vector(X[:, j], bank), bit for bit: each entry is
+    built from its own sample and center by the same elementwise operations,
+    whatever the other columns are.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != bank.input_dim:
@@ -170,7 +147,22 @@ def kernel_matrix(X: np.ndarray, bank: KernelBank) -> np.ndarray:
             bank.input_dim,
             X.shape[0] if X.ndim == 2 else -1,
         )
-    Phi = np.empty((bank.vector_len, X.shape[1]), dtype=np.float64)
-    for j in range(X.shape[1]):
-        Phi[:, j] = kernel_vector(np.ascontiguousarray(X[:, j]), bank)
-    return Phi
+    K, S = bank.n_centers, X.shape[1]
+    sq_dist = np.zeros((K, S))
+    dot = np.zeros((K, S))
+    x_sq = np.zeros(S)
+    m_sq = np.zeros(K)
+    # One broadcast pass per input dimension, in order: a reduction over an
+    # axis would sum in an order that depends on the array's shape.
+    for x_i, m_i in zip(X, bank.centers):
+        diff = x_i - m_i[:, np.newaxis]
+        sq_dist += diff * diff
+        dot += x_i * m_i[:, np.newaxis]
+        x_sq += x_i * x_i
+        m_sq += m_i * m_i
+    sigma, epsilon = bank.gaussian.sigma, bank.cosine.epsilon
+    responses = {
+        "gaussian": np.exp(-sq_dist / (sigma * sigma)),
+        "cosine": dot / (np.sqrt(m_sq)[:, np.newaxis] * np.sqrt(x_sq) + epsilon),
+    }
+    return np.concatenate([np.ones((1, S)), *(responses[name] for name in bank.kernel_order)])

@@ -86,11 +86,6 @@ class CoFusion:
 FusionMode = FixedFusion | AdaptiveFusion | CoFusion
 
 
-def _mode_alphas(mode: FixedFusion | AdaptiveFusion, order: tuple[str, ...]) -> np.ndarray:
-    by_name = {"gaussian": mode.alpha_gaussian, "cosine": mode.alpha_cosine}
-    return np.array([by_name[name] for name in order], dtype=np.float64)
-
-
 @dataclass
 class RbfModel:
     """Learnable state: kernel bank, fusion mode, weights, bias.
@@ -143,22 +138,36 @@ class RbfModel:
         return RbfModel(self.bank, mode, self.weights.copy(), self.bias)
 
 
-def _forward_phi(model: RbfModel, phi: np.ndarray) -> float:
-    """Output for a precomputed stacked response vector phi."""
-    K = model.bank.n_centers
+def _theta(model: RbfModel) -> np.ndarray:
+    """Flat parameters [b, vec(W)] in kernel_vector's layout: output = theta . phi.
+
+    W is the (K, L) matrix of per-center, per-kernel weights, stacked one
+    kernel column after another. Under CoFusion it is model.weights; fixed
+    and adaptive fusion are its rank-one case W = w alpha^T, whose column l
+    is alpha_l * w.
+    """
     if isinstance(model.mode, CoFusion):
-        return float(np.dot(np.ravel(model.weights, order="F"), phi[1:]) + model.bias)
-    alphas = _mode_alphas(model.mode, model.bank.kernel_order)
-    mixed = np.zeros(K, dtype=np.float64)
-    for l in range(model.bank.n_kernels):
-        mixed += alphas[l] * phi[1 + l * K:1 + (l + 1) * K]
-    return float(np.dot(model.weights, mixed) + model.bias)
+        columns = model.weights.T
+    else:
+        columns = [getattr(model.mode, f"alpha_{name}") * model.weights
+                   for name in model.bank.kernel_order]
+    return np.concatenate(([model.bias], *columns))
+
+
+def _outputs(heads: list[RbfModel], Phi: np.ndarray) -> np.ndarray:
+    """theta . phi for every head (rows) and every column of Phi (columns).
+
+    A BLAS product sums a column in an order that depends on how many columns
+    it is given, so the products are summed along the samples-as-rows layout
+    instead: column j equals the one-column call bit for bit.
+    """
+    Theta = np.array([_theta(h) for h in heads])
+    return np.sum(Theta[:, np.newaxis, :] * np.ascontiguousarray(Phi.T), axis=2)
 
 
 def forward(model: RbfModel, x: np.ndarray) -> float:
     """Network output for one sample."""
-    phi = kernel_vector(x, model.bank)
-    return _forward_phi(model, phi)
+    return float(_outputs([model], kernel_vector(x, model.bank)[:, np.newaxis])[0, 0])
 
 
 def forward_batch(model: RbfModel, X: np.ndarray) -> np.ndarray:
@@ -166,10 +175,7 @@ def forward_batch(model: RbfModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatchError("forward_batch samples", 2, X.ndim)
-    Phi = kernel_matrix(X, model.bank)
-    return np.array(
-        [_forward_phi(model, np.ascontiguousarray(Phi[:, j])) for j in range(X.shape[1])]
-    )
+    return _outputs([model], kernel_matrix(X, model.bank))[0]
 
 
 def multiclass_decision(outputs: np.ndarray) -> int:
@@ -220,29 +226,21 @@ class MultiHeadRbfModel:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """All head outputs for one sample, shape (C,)."""
-        phi = kernel_vector(x, self.bank)
-        return np.array([_forward_phi(h, phi) for h in self.heads])
+        return _outputs(self.heads, kernel_vector(x, self.bank)[:, np.newaxis])[:, 0]
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         """Head outputs for every column of X, shape (C, S)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise DimensionMismatchError("forward_batch samples", 2, X.ndim)
-        Phi = kernel_matrix(X, self.bank)
-        out = np.empty((self.n_classes, X.shape[1]), dtype=np.float64)
-        for j in range(X.shape[1]):
-            phi = np.ascontiguousarray(Phi[:, j])
-            for c, h in enumerate(self.heads):
-                out[c, j] = _forward_phi(h, phi)
-        return out
+        return _outputs(self.heads, kernel_matrix(X, self.bank))
 
     def decide(self, x: np.ndarray) -> int:
         return multiclass_decision(self.forward(x))
 
     def decide_batch(self, X: np.ndarray) -> np.ndarray:
-        outputs = self.forward_batch(X)
-        return np.array([multiclass_decision(outputs[:, j]) for j in range(outputs.shape[1])],
-                        dtype=np.int64)
+        # argmax returns the first maximum: ties go to the lowest index
+        return np.argmax(self.forward_batch(X), axis=0)
 
     def copy(self) -> "MultiHeadRbfModel":
         # RbfModel.copy keeps the bank object, so head copies still share it
@@ -252,23 +250,14 @@ class MultiHeadRbfModel:
 def center_contributions(model: RbfModel, x: np.ndarray) -> np.ndarray:
     """Per-center share of the output (bias excluded), shape (K,).
 
-    Under Fixed/Adaptive fusion center k contributes w_k times the mixed
-    response; under CoFusion it contributes the local weighted sum over
-    kernels. Contributions sum to forward(model, x) - bias.
+    Center k contributes its row of W times its responses, summed over
+    kernels: the local weighted sum under CoFusion, w_k times the mixed
+    response under Fixed/Adaptive fusion (W = w alpha^T). Contributions sum
+    to forward(model, x) - bias.
     """
     phi = kernel_vector(x, model.bank)
-    K = model.bank.n_centers
-    blocks = [phi[1 + l * K:1 + (l + 1) * K] for l in range(model.bank.n_kernels)]
-    if isinstance(model.mode, CoFusion):
-        out = np.zeros(K, dtype=np.float64)
-        for l, block in enumerate(blocks):
-            out += model.weights[:, l] * block
-        return out
-    alphas = _mode_alphas(model.mode, model.bank.kernel_order)
-    mixed = np.zeros(K, dtype=np.float64)
-    for l, block in enumerate(blocks):
-        mixed += alphas[l] * block
-    return model.weights * mixed
+    terms = _theta(model)[1:] * phi[1:]
+    return terms.reshape(model.bank.n_kernels, model.bank.n_centers).sum(axis=0)
 
 
 def discriminative_power(model: RbfModel, x: np.ndarray,

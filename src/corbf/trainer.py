@@ -12,15 +12,17 @@ exact blocks of up to BLOCK_SIZE presented samples: one triangular solve
 yields every instantaneous error of the block, then one product applies all
 of its increments. This matches repeated sgd_step calls up to rounding.
 
+After each epoch fit writes the trained state into the model and evaluates
+every mode the same way, as theta . phi (model._theta).
+
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
-autocorrelation matrix, and a deterministic multi-seed experiment runner.
+autocorrelation matrix.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .model import (
     FixedFusion,
     MultiHeadRbfModel,
     RbfModel,
+    _theta,
 )
 
 DIVERGENCE_LIMIT = 1e12
@@ -152,12 +155,6 @@ def read_trace_csv(path: str | os.PathLike) -> dict[str, np.ndarray | None]:
     return out
 
 
-def _kernel_block(phi: np.ndarray, bank, name: str) -> np.ndarray:
-    K = bank.n_centers
-    l = bank.kernel_order.index(name)
-    return phi[1 + l * K:1 + (l + 1) * K]
-
-
 def _guard(e: float, epoch: int, sample: int) -> None:
     if not (abs(e) <= DIVERGENCE_LIMIT):
         raise DivergenceError(epoch, sample, e)
@@ -216,11 +213,6 @@ def _block_step(W: np.ndarray, A: np.ndarray, D: np.ndarray, eta: float,
     W += (eta * E).T @ A
 
 
-def _full_co_vector(model: RbfModel) -> np.ndarray:
-    """[bias, weights column-stacked by kernel]: the trained flat layout."""
-    return np.concatenate(([model.bias], np.ravel(model.weights, order="F")))
-
-
 def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
              alpha_eta: float | None = None, epoch: int = 0, sample: int = 0) -> float:
     """One per-sample update, in place; returns the pre-update error e.
@@ -239,7 +231,7 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
     phi = kernel_vector(x, model.bank)
     bank = model.bank
     if isinstance(model.mode, CoFusion):
-        w_full = _full_co_vector(model)
+        w_full = _theta(model)
         y = float(np.dot(w_full, phi))
         e = float(d) - y
         _guard(e, epoch, sample)
@@ -247,8 +239,9 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
         model.bias = float(w_full[0])
         model.weights = w_full[1:].reshape((bank.n_kernels, bank.n_centers)).T.copy()
         return e
-    pg = _kernel_block(phi, bank, "gaussian")
-    pc = _kernel_block(phi, bank, "cosine")
+    by_kernel = phi[1:].reshape(bank.n_kernels, bank.n_centers)
+    pg = by_kernel[bank.kernel_order.index("gaussian")]
+    pc = by_kernel[bank.kernel_order.index("cosine")]
     ag, ac = model.mode.alpha_gaussian, model.mode.alpha_cosine
     if isinstance(model.mode, FixedFusion):
         g = np.concatenate(([1.0], ag * pg + ac * pc))
@@ -326,7 +319,8 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     (|e| > 1e12 or non-finite) raises DivergenceError at the first presented
     sample that fails, with the 1-based epoch and the 1-based training-set
     index (column of X) of that sample; for several heads the error value is
-    the failing sample's error of largest magnitude.
+    the failing sample's error of largest magnitude. The model then holds the
+    parameters of the last completed epoch.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -352,9 +346,8 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         raise DimensionMismatchError("targets vs samples", S, Dmat.shape[1])
 
     classification = isinstance(model, MultiHeadRbfModel)
-    K = bank.n_centers
+    K, L = bank.n_centers, bank.n_kernels
     Phi = kernel_matrix(X, bank)
-    PhiT = np.ascontiguousarray(Phi.T)
     Drows = np.ascontiguousarray(Dmat.T)
 
     eval_phi = eval_labels = None
@@ -374,20 +367,25 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     train_acc: list[float] = []
     test_acc: list[float] = []
 
-    ig = bank.kernel_order.index("gaussian")
-    ic = bank.kernel_order.index("cosine")
-    Pg = np.ascontiguousarray(Phi[1 + ig * K:1 + (ig + 1) * K, :])
-    Pc = np.ascontiguousarray(Phi[1 + ic * K:1 + (ic + 1) * K, :])
+    by_kernel = Phi[1:].reshape(L, K, S)
+    Pg = by_kernel[bank.kernel_order.index("gaussian")]
+    Pc = by_kernel[bank.kernel_order.index("cosine")]
 
     truth = None
     if classification:
         truth = labels if labels is not None else np.argmax(Dmat, axis=0)
 
-    def record_epoch(Y: np.ndarray) -> None:
+    def record_epoch() -> None:
+        # the heads hold the epoch's trained state; every mode is theta . phi
+        Theta = np.array([_theta(h) for h in heads])
+        Y = Theta @ Phi
         err = Dmat - Y
         mse_lin.append(float(np.mean(err * err)))
         if classification:
             train_acc.append(float(np.mean(np.argmax(Y, axis=0) == truth)))
+        if eval_phi is not None:
+            preds = np.argmax(Theta @ eval_phi, axis=0)
+            test_acc.append(float(np.mean(preds == eval_labels)))
 
     if isinstance(mode, AdaptiveFusion):
         Wc = np.empty((C, K))
@@ -438,22 +436,17 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     B += eta * e
                     Ag += a_eta * e * SG
                     Ac += a_eta * e * SC
-            Y = Ag[:, None] * (Wc @ Pg) + Ac[:, None] * (Wc @ Pc) + B[:, None]
-            record_epoch(Y)
-            if eval_phi is not None:
-                Pg_e = eval_phi[1 + ig * K:1 + (ig + 1) * K, :]
-                Pc_e = eval_phi[1 + ic * K:1 + (ic + 1) * K, :]
-                Y_e = Ag[:, None] * (Wc @ Pg_e) + Ac[:, None] * (Wc @ Pc_e) + B[:, None]
-                test_acc.append(float(np.mean(np.argmax(Y_e, axis=0) == eval_labels)))
-        for c, h in enumerate(heads):
-            h.weights = Wc[c].copy()
-            h.bias = float(B[c])
-            h.mode.alpha_gaussian = float(Ag[c])
-            h.mode.alpha_cosine = float(Ac[c])
+            for c, h in enumerate(heads):
+                h.weights = Wc[c].copy()
+                h.bias = float(B[c])
+                h.mode.alpha_gaussian = float(Ag[c])
+                h.mode.alpha_cosine = float(Ac[c])
+            record_epoch()
     else:
         # fixed and co fusion reduce to linear SGD on a precomputed design
-        if isinstance(mode, CoFusion):
-            DS = PhiT
+        co = isinstance(mode, CoFusion)
+        if co:
+            DS = np.ascontiguousarray(Phi.T)
             Q = DS.shape[1]
         else:
             Q = 1 + K
@@ -463,14 +456,13 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         W = np.empty((C, Q))
         for c, h in enumerate(heads):
             if cfg.init == "keep":
-                if isinstance(mode, CoFusion):
-                    W[c] = _full_co_vector(h)
+                if co:
+                    W[c] = _theta(h)
                 else:
                     W[c, 0] = h.bias
                     W[c, 1:] = h.weights
             else:
                 W[c] = _draw_init(rng_init, cfg, Q)
-        DST = np.ascontiguousarray(DS.T)
         stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
         # in dataset order every epoch presents the same blocks: invert once
         fixed_blocks = None if cfg.shuffle else [
@@ -483,27 +475,10 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                 for idx in _block_indices(rng_shuffle.permutation(S))]
             for idx, A, D_block, Minv in blocks:
                 _block_step(W, A, D_block, eta, Minv, stable, t + 1, idx)
-            Y = W @ DST
-            record_epoch(Y)
-
-            if eval_phi is not None:
-                if isinstance(mode, CoFusion):
-                    Y_e = W @ eval_phi
-                else:
-                    Pg_e = eval_phi[1 + ig * K:1 + (ig + 1) * K, :]
-                    Pc_e = eval_phi[1 + ic * K:1 + (ic + 1) * K, :]
-                    G_e = np.empty((Q, eval_phi.shape[1]))
-                    G_e[0] = 1.0
-                    G_e[1:] = mode.alpha_gaussian * Pg_e + mode.alpha_cosine * Pc_e
-                    Y_e = W @ G_e
-                preds = np.argmax(Y_e, axis=0)
-                test_acc.append(float(np.mean(preds == eval_labels)))
-        for c, h in enumerate(heads):
-            h.bias = float(W[c, 0])
-            if isinstance(mode, CoFusion):
-                h.weights = W[c, 1:].reshape((bank.n_kernels, K)).T.copy()
-            else:
-                h.weights = W[c, 1:].copy()
+            for c, h in enumerate(heads):
+                h.bias = float(W[c, 0])
+                h.weights = W[c, 1:].reshape((L, K)).T.copy() if co else W[c, 1:].copy()
+            record_epoch()
 
     mse_arr = np.array(mse_lin)
     trace = TrainTrace(
@@ -537,54 +512,3 @@ def learning_rate_bound(Phi: np.ndarray) -> float:
     if lam <= 0:
         raise EmptyInputError("dominant eigenvalue is not positive")
     return 1.0 / lam
-
-
-@dataclass
-class RunAggregate:
-    """Mean and sample standard deviation of every metric across seeds.
-
-    per_run holds one metric dict per successful seed in seed order; diverged
-    lists the seeds whose runs tripped the divergence guard (excluded from the
-    aggregates but counted here).
-    """
-
-    metrics: dict[str, tuple[float, float]]
-    per_run: list[dict[str, float]]
-    seeds: list[int]
-    diverged: list[int]
-
-    @property
-    def n_completed(self) -> int:
-        return len(self.per_run)
-
-
-def multi_seed_run(run_fn: Callable[[int], dict[str, float]], n_runs: int,
-                   seed0: int = 0) -> RunAggregate:
-    """Run run_fn(seed) for seeds seed0 .. seed0+n_runs-1 and aggregate.
-
-    Runs execute in seed order, so aggregation is deterministic. A run that
-    raises DivergenceError is excluded from the statistics and recorded in
-    .diverged. Sample standard deviation uses ddof=1; a single completed run
-    reports std 0.0.
-    """
-    if n_runs < 1:
-        raise InvalidConfigError(f"n_runs must be >= 1, got {n_runs}")
-    per_run: list[dict[str, float]] = []
-    seeds: list[int] = []
-    diverged: list[int] = []
-    for i in range(n_runs):
-        seed = seed0 + i
-        try:
-            result = run_fn(seed)
-        except DivergenceError:
-            diverged.append(seed)
-            continue
-        per_run.append(dict(result))
-        seeds.append(seed)
-    metrics: dict[str, tuple[float, float]] = {}
-    if per_run:
-        for name in per_run[0]:
-            vals = np.array([r[name] for r in per_run], dtype=np.float64)
-            std = 0.0 if len(vals) == 1 else float(np.std(vals, ddof=1))
-            metrics[name] = (float(np.mean(vals)), std)
-    return RunAggregate(metrics=metrics, per_run=per_run, seeds=seeds, diverged=diverged)

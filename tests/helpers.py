@@ -4,8 +4,8 @@ Finite-difference gradient machinery for the trainer and acceptance suites:
 nudge one parameter, recompute the instantaneous cost, and compare the
 central-difference gradient against the increment sgd_step actually applied.
 replay_fit runs fit's schedule one sgd_step at a time, the reference for its
-block engine. run_python and run_corbf run this checkout's corbf in a
-child process.
+block engine and its adaptive loops. run_python and run_corbf run this
+checkout's corbf in a child process.
 """
 
 import os
@@ -86,13 +86,14 @@ def check_gradients(model, x, d, eta, rtol, h=1e-6, alpha_eta=None):
 
 
 def replay_fit(model, X, D, cfg):
-    """fit's schedule for fixed or co fusion, one sgd_step per sample and head.
+    """fit's schedule for any fusion mode, one sgd_step per sample and head.
 
     Draws the initial weights and each epoch's order from the same seed-derived
     streams as fit, trains model in place and returns the per-epoch training
-    MSE. D is (S,) for one head, (C, S) for C heads. A divergence raises as fit
-    documents it: first failing sample, 1-based epoch and training-set index,
-    and the error of largest magnitude over the heads.
+    MSE; adaptive coefficients train from their current values at
+    cfg.alpha_eta. D is (S,) for one head, (C, S) for C heads. A divergence
+    raises as fit documents it: first failing sample, 1-based epoch and
+    training-set index, and the error of largest magnitude over the heads.
     """
     heads = model.heads if isinstance(model, MultiHeadRbfModel) else [model]
     D = np.atleast_2d(np.asarray(D, dtype=np.float64))
@@ -115,7 +116,8 @@ def replay_fit(model, X, D, cfg):
             errors = []
             for c, h in enumerate(heads):
                 try:
-                    errors.append(sgd_step(h, X[:, s], D[c, s], cfg.eta))
+                    errors.append(sgd_step(h, X[:, s], D[c, s], cfg.eta,
+                                           cfg.alpha_eta))
                 except DivergenceError as exc:
                     errors.append(exc.error_value)
             errors = np.array(errors)

@@ -172,7 +172,47 @@ class TestKernelVector:
             kernel_vector(np.zeros(2), bank)
 
 
+def python_kernels(x, m, sigma, epsilon):
+    """Both kernels from Python floats, each sum exactly rounded by math.fsum.
+
+    Returns (gaussian, q, cosine, scale): q = ||x - m||^2 / sigma^2, and scale
+    = sum |x_i m_i| / (||x|| ||m|| + epsilon), the size of the cosine's terms
+    that its rounding errors are relative to.
+    """
+    q = math.fsum((xi - mi) * (xi - mi) for xi, mi in zip(x, m)) / (sigma * sigma)
+    denom = (math.sqrt(math.fsum(xi * xi for xi in x))
+             * math.sqrt(math.fsum(mi * mi for mi in m)) + epsilon)
+    cosine = math.fsum(xi * mi for xi, mi in zip(x, m)) / denom
+    scale = math.fsum(abs(xi * mi) for xi, mi in zip(x, m)) / denom
+    return math.exp(-q), q, cosine, scale
+
+
 class TestKernelMatrix:
+    def test_matches_pure_python_within_a_few_ulps(self):
+        # An oracle that shares no code with the evaluator. Rounding in a
+        # sum of a terms stays within (a + 2) ulps of its scale: the Gaussian
+        # scales by 1 + q, since exp turns an error in q into q times it.
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            a, K, S = (int(v) for v in rng.integers([1, 2, 2], [5, 7, 9]))
+            centers = rng.normal(size=(a, K)) * rng.uniform(0.1, 5.0)
+            X = rng.normal(size=(a, S)) * rng.uniform(0.1, 5.0)
+            centers[:, 0] = 0.0                   # cosine 0 for every sample
+            X[:, 0] = 0.0                         # cosine 0 for every center
+            X[:, -1] = centers[:, -1]             # Gaussian 1
+            bank = make_bank(centers, sigma=float(rng.uniform(0.3, 3.0)),
+                             epsilon=float(10.0 ** rng.uniform(-10, -6)))
+            Phi = kernel_matrix(X, bank)
+            for s in range(S):
+                for k in range(K):
+                    g, q, c, scale = python_kernels(
+                        X[:, s].tolist(), centers[:, k].tolist(),
+                        bank.gaussian.sigma, bank.cosine.epsilon)
+                    assert abs(Phi[1 + k, s] - g) <= (a + 2) * (1 + q) * math.ulp(g)
+                    assert abs(Phi[1 + K + k, s] - c) <= (a + 2) * math.ulp(scale)
+            assert np.all(Phi[1 + K, :] == 0.0) and np.all(Phi[1 + K:, 0] == 0.0)
+            assert Phi[K, S - 1] == 1.0
+
     def test_bit_exact_to_looped_kernel_vector(self):
         rng = np.random.default_rng(9)
         bank = make_bank(rng.normal(size=(3, 4)), sigma=1.7)

@@ -13,8 +13,8 @@ from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
                          MultiHeadRbfModel, RbfModel, forward, forward_batch)
 from corbf.trainer import (BLOCK_SIZE, INIT_KINDS, TrainConfig, TrainTrace,
-                           fit, learning_rate_bound, multi_seed_run,
-                           read_trace_csv, sgd_step, write_trace_csv)
+                           fit, learning_rate_bound, read_trace_csv,
+                           sgd_step, write_trace_csv)
 
 from helpers import check_gradients, replay_fit, run_python
 
@@ -235,8 +235,12 @@ class TestFit:
                 TrainConfig(eta=0.1, epochs=1))
 
 
-def linear_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0):
-    """A random fixed- or co-fusion model with S samples and real targets.
+FIT_MODES = {"fixed": lambda: FixedFusion(0.3, 0.7), "co": CoFusion,
+             "adaptive": lambda: AdaptiveFusion(0.3, 0.7)}
+
+
+def fit_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0):
+    """A random model of the named fusion mode with S samples and real targets.
 
     eta is frac / max ||phi_s||^2 over the co design, which also bounds the
     mixed fixed design, so no per-sample step expands the error for frac <= 2.
@@ -247,8 +251,7 @@ def linear_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0):
     X = rng.normal(size=(a, S))
     phi = kernel_matrix(X, bank)
     eta = frac / float(np.max(np.sum(phi * phi, axis=0)))
-    heads = [make_model(rng, bank, CoFusion() if mode == "co" else FixedFusion(0.3, 0.7))
-             for _ in range(n_heads)]
+    heads = [make_model(rng, bank, FIT_MODES[mode]()) for _ in range(n_heads)]
     if n_heads == 1:
         return heads[0], X, rng.normal(size=S), eta
     return MultiHeadRbfModel(heads), X, rng.normal(size=(n_heads, S)), eta
@@ -256,8 +259,8 @@ def linear_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0):
 
 def head_params(model):
     heads = model.heads if isinstance(model, MultiHeadRbfModel) else [model]
-    return np.concatenate([np.concatenate(([h.bias], np.ravel(h.weights)))
-                           for h in heads])
+    return np.concatenate([np.concatenate(([h.bias], np.ravel(h.weights),
+                                           snapshot(h)[2])) for h in heads])
 
 
 def assert_fit_matches_replay(model, X, D, cfg):
@@ -273,17 +276,20 @@ def assert_fit_matches_replay(model, X, D, cfg):
 
 
 class TestBlockEngine:
-    """fit's exact block engine for fixed and co fusion against sgd_step."""
+    """fit's exact block engine for fixed and co fusion, and its single- and
+    multi-head adaptive loops, against sgd_step."""
 
     @pytest.mark.parametrize("init", INIT_KINDS)
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("n_heads", [1, 3])
-    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    @pytest.mark.parametrize("mode", ["fixed", "co", "adaptive"])
     def test_three_blocks_match_sequential_steps(self, mode, n_heads, shuffle, init):
+        # alpha_eta differs from eta, so an adaptive step that ignores it shows
         S = 2 * BLOCK_SIZE + 44
-        model, X, D, eta = linear_problem(mode, n_heads, S, seed=60)
+        model, X, D, eta = fit_problem(mode, n_heads, S, seed=60)
         assert_fit_matches_replay(model, X, D, TrainConfig(
-            eta=eta, epochs=2, seed=7, shuffle=shuffle, init=init))
+            eta=eta, epochs=2, seed=7, shuffle=shuffle, init=init,
+            alpha_eta=0.5 * eta))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(mode=st.sampled_from(["fixed", "co"]), n_heads=st.sampled_from([1, 3]),
@@ -293,7 +299,7 @@ class TestBlockEngine:
            frac=st.floats(0.01, 1.9), seed=st.integers(0, 2**32 - 1))
     def test_random_designs_match_sequential_steps(self, mode, n_heads, shuffle, init,
                                                    S, a, K, epochs, frac, seed):
-        model, X, D, eta = linear_problem(mode, n_heads, S, a, K, frac, seed)
+        model, X, D, eta = fit_problem(mode, n_heads, S, a, K, frac, seed)
         assert_fit_matches_replay(model, X, D, TrainConfig(
             eta=eta, epochs=epochs, seed=seed, shuffle=shuffle, init=init))
 
@@ -309,7 +315,7 @@ class TestBlockEngine:
         # training-set index 200 trips the stable engine's own check, where a
         # pivoted solve may spread a NaN to the errors before it.
         S = 2 * BLOCK_SIZE + 44
-        model, X, D, eta = linear_problem("co", n_heads, S, frac=frac, seed=61)
+        model, X, D, eta = fit_problem("co", n_heads, S, frac=frac, seed=61)
         if bad_target is not None:
             D[..., 200] = bad_target
         cfg = TrainConfig(eta=eta, epochs=3, seed=3, shuffle=shuffle, init="keep")
@@ -441,31 +447,3 @@ class TestTraceCsv:
         back = read_trace_csv(path)
         assert back["train_acc"] is None and back["test_acc"] is None
 
-
-class TestMultiSeedRun:
-    def test_single_run_zero_std(self):
-        agg = multi_seed_run(lambda seed: {"m": float(seed)}, n_runs=1, seed0=9)
-        assert agg.metrics["m"] == (9.0, 0.0)
-        assert agg.seeds == [9]
-
-    def test_forced_identical_runs_zero_std(self):
-        agg = multi_seed_run(lambda seed: {"m": 2.5}, n_runs=2)
-        assert agg.metrics["m"] == (2.5, 0.0)
-
-    def test_aggregates_match_recomputation(self):
-        vals = {0: 1.0, 1: 4.0, 2: 2.0, 3: 8.0, 4: 5.0}
-        agg = multi_seed_run(lambda seed: {"m": vals[seed]}, n_runs=5)
-        arr = np.array(list(vals.values()))
-        np.testing.assert_allclose(agg.metrics["m"][0], arr.mean())
-        np.testing.assert_allclose(agg.metrics["m"][1], arr.std(ddof=1))
-
-    def test_diverged_runs_excluded_and_counted(self):
-        def run(seed):
-            if seed == 1:
-                raise DivergenceError(epoch=2, sample=3, error_value=1e15)
-            return {"m": float(seed)}
-
-        agg = multi_seed_run(run, n_runs=3)
-        assert agg.diverged == [1]
-        assert agg.seeds == [0, 2]
-        np.testing.assert_allclose(agg.metrics["m"][0], 1.0)
