@@ -21,11 +21,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .centers import SubtractiveConfig, fixed_centers, subtractive_clustering
-from .errors import InvalidConfigError, DivergenceError, MissingArtifactsError, DataFormatError
+from .errors import (DataFormatError, DivergenceError, InvalidConfigError,
+                     MissingArtifactsError, _read_csv, _write_csv)
 from .kernels import CosineParams, GaussianParams, KernelBank, kernel_matrix
-from .metrics import (accuracy, confusion, error_surface, format_percent,
-                      format_youden, sensitivity_specificity_youden,
-                      write_metric_table)
+from .metrics import (_METRIC_TABLE_CSV, accuracy, confusion, error_surface,
+                      format_percent, format_youden,
+                      sensitivity_specificity_youden, write_metric_table)
 from .model import (AdaptiveFusion, CoFusion, FixedFusion, MultiHeadRbfModel,
                     RbfModel, forward_batch)
 from .tasks import (DEFAULT_FUNAPPROX_TARGET, FUNAPPROX_TARGETS, funapprox_target,
@@ -283,58 +284,42 @@ def expected_artifacts(task: str, architectures: tuple[str, ...], runs: int) -> 
     return names
 
 
+_SURFACE_CSV = {"x1": float, "x2": float, "error": float}
+_TEST_ERRORS_CSV = {"run": int, "index": int, "error": float}
+_SYSID_TRACE_CSV = {"t": int, "input": float, "actual": float, "predicted": float}
+
+
 def _write_surface_csv(path: str, payload: dict) -> None:
-    axis1, axis2 = payload["axis1"], payload["axis2"]
     errors = payload["errors"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x1,x2,error\n")
-        for i, a in enumerate(axis1):
-            for j, b in enumerate(axis2):
-                fh.write(f"{repr(float(a))},{repr(float(b))},{repr(float(errors[i][j]))}\n")
+    _write_csv(path, _SURFACE_CSV,
+               ((a, b, errors[i][j]) for i, a in enumerate(payload["axis1"])
+                for j, b in enumerate(payload["axis2"])))
 
 
 def read_surface_csv(path: str) -> dict:
     """Parse an error-surface CSV back into axis/error arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x1,x2,error":
-            raise DataFormatError("unexpected surface header", path=str(path), line=1)
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    x1 = np.array([float(r[0]) for r in rows])
-    x2 = np.array([float(r[1]) for r in rows])
-    err = np.array([float(r[2]) for r in rows])
-    return {"x1": x1, "x2": x2, "error": err}
+    return {key: np.array(vals) for key, vals in _read_csv(path, _SURFACE_CSV).items()}
 
 
 def _write_test_errors_csv(path: str, per_run: dict[int, list[float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("run,index,error\n")
-        for run_index in sorted(per_run):
-            for i, v in enumerate(per_run[run_index]):
-                fh.write(f"{run_index},{i},{repr(float(v))}\n")
+    _write_csv(path, _TEST_ERRORS_CSV,
+               ((run_index, i, v) for run_index in sorted(per_run)
+                for i, v in enumerate(per_run[run_index])))
 
 
 def read_test_errors_csv(path: str) -> dict[int, np.ndarray]:
     """Parse a per-run test-error CSV into {run_index: errors}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "run,index,error":
-            raise DataFormatError("unexpected test-error header", path=str(path), line=1)
-        acc: dict[int, list[float]] = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            run_s, _idx, err_s = line.strip().split(",")
-            acc.setdefault(int(run_s), []).append(float(err_s))
+    cols = _read_csv(path, _TEST_ERRORS_CSV)
+    acc: dict[int, list[float]] = {}
+    for run_index, err in zip(cols["run"], cols["error"]):
+        acc.setdefault(run_index, []).append(err)
     return {k: np.array(v) for k, v in acc.items()}
 
 
 def _write_sysid_trace_csv(path: str, pairs: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,input,actual,predicted\n")
-        for t, (u, a, p) in enumerate(zip(pairs["input"], pairs["actual"],
-                                          pairs["predicted"])):
-            fh.write(f"{t},{repr(float(u))},{repr(float(a))},{repr(float(p))}\n")
+    _write_csv(path, _SYSID_TRACE_CSV,
+               ((t, *row) for t, row in enumerate(zip(pairs["input"], pairs["actual"],
+                                                      pairs["predicted"]))))
 
 
 def _trace_from_result(res: dict) -> TrainTrace:
@@ -543,19 +528,8 @@ def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
 
 
 def _read_metric_table(path: str) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "architecture,phase,class,mean,std":
-            raise DataFormatError("unexpected metric-table header", path=str(path), line=1)
-        for line in fh:
-            if not line.strip():
-                continue
-            arch, phase, cls, mean, std = line.strip().split(",")
-            rows.append({"architecture": arch, "phase": phase, "class": cls,
-                         "mean": None if mean == "NA" else float(mean),
-                         "std": None if std == "NA" else float(std)})
-    return rows
+    cols = _read_csv(path, _METRIC_TABLE_CSV)
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
 
 def _epochs_to_level(db_curve: np.ndarray, level_db: float) -> int | None:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centers import grid_axes, grid_centers
-from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
+from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
+                     _float_or_na, _write_csv)
 from .model import RbfModel, forward_batch
 
 
@@ -189,6 +190,10 @@ def format_youden(value: float | None) -> str:
     return f"{value:.4f}"
 
 
+_METRIC_TABLE_CSV = {"architecture": str, "phase": str, "class": str,
+                     "mean": _float_or_na, "std": _float_or_na}
+
+
 def write_metric_table(path: str | os.PathLike, rows: list[tuple],
                        formatter=format_percent) -> None:
     """Write (architecture, phase, class, mean, std) rows as CSV.
@@ -196,7 +201,6 @@ def write_metric_table(path: str | os.PathLike, rows: list[tuple],
     mean/std are floats in natural units (fractions for percent tables) or
     None for undefined cells; the formatter renders them.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("architecture,phase,class,mean,std\n")
-        for arch, phase, cls, mean, std in rows:
-            fh.write(f"{arch},{phase},{cls},{formatter(mean)},{formatter(std)}\n")
+    _write_csv(path, _METRIC_TABLE_CSV,
+               ((arch, phase, cls, formatter(mean), formatter(std))
+                for arch, phase, cls, mean, std in rows))

@@ -7,10 +7,11 @@ full training set, accuracies for classification) are computed after each
 epoch finishes, never from the running instantaneous errors.
 
 sgd_step is the sequential reference. Adaptive fusion trains sample by
-sample. Fixed and co fusion are linear in their weights, so fit runs them as
-exact blocks of up to BLOCK_SIZE presented samples: one triangular solve
-yields every instantaneous error of the block, then one product applies all
-of its increments. This matches repeated sgd_step calls up to rounding.
+sample in one scalar loop, run once per head over the epoch's order. Fixed
+and co fusion are linear in their weights, so fit runs them as exact blocks
+of up to BLOCK_SIZE presented samples: one triangular solve yields every
+instantaneous error of the block, then one product applies all of its
+increments. This matches repeated sgd_step calls up to rounding.
 
 After each epoch fit writes the trained state into the model and evaluates
 every mode the same way, as theta . phi (model._theta).
@@ -27,12 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DataFormatError,
     DimensionMismatchError,
     DivergenceError,
     EmptyInputError,
     InvalidConfigError,
     InvalidModelError,
+    _float_or_na,
+    _read_csv,
+    _write_csv,
 )
 from .kernels import kernel_matrix, kernel_vector
 from .metrics import mse_db_from_linear
@@ -109,55 +112,53 @@ class TrainTrace:
     final_model: RbfModel | MultiHeadRbfModel
 
 
+_TRACE_CSV = {"epoch": int, "mse_linear": float, "mse_db": float,
+              "train_acc": _float_or_na, "test_acc": _float_or_na}
+
+
 def write_trace_csv(trace: TrainTrace, path: str | os.PathLike) -> None:
     """Write the per-epoch columns as CSV; missing accuracies become NA."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,mse_linear,mse_db,train_acc,test_acc\n")
-        for i in range(len(trace.epochs)):
-            ta = "NA" if trace.train_acc is None else repr(float(trace.train_acc[i]))
-            va = "NA" if trace.test_acc is None else repr(float(trace.test_acc[i]))
-            fh.write(
-                f"{int(trace.epochs[i])},{repr(float(trace.mse_linear[i]))},"
-                f"{repr(float(trace.mse_db[i]))},{ta},{va}\n"
-            )
+    def column(values) -> list:
+        if values is None:
+            return ["NA"] * len(trace.epochs)
+        return np.asarray(values, dtype=np.float64).tolist()
+
+    _write_csv(path, _TRACE_CSV, zip(map(int, trace.epochs), column(trace.mse_linear),
+                                     column(trace.mse_db), column(trace.train_acc),
+                                     column(trace.test_acc)))
 
 
 def read_trace_csv(path: str | os.PathLike) -> dict[str, np.ndarray | None]:
     """Parse a file written by write_trace_csv back into column arrays."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "epoch,mse_linear,mse_db,train_acc,test_acc":
-            raise DataFormatError(f"unexpected header {header!r}", path=str(path), line=1)
-        cols: dict[str, list] = {"epoch": [], "mse_linear": [], "mse_db": [],
-                                 "train_acc": [], "test_acc": []}
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 5:
-                raise DataFormatError(
-                    f"expected 5 fields, got {len(parts)}", path=str(path), line=lineno
-                )
-            try:
-                cols["epoch"].append(int(parts[0]))
-                cols["mse_linear"].append(float(parts[1]))
-                cols["mse_db"].append(float(parts[2]))
-                cols["train_acc"].append(None if parts[3] == "NA" else float(parts[3]))
-                cols["test_acc"].append(None if parts[4] == "NA" else float(parts[4]))
-            except ValueError as exc:
-                raise DataFormatError(str(exc), path=str(path), line=lineno) from exc
-    out: dict[str, np.ndarray | None] = {
-        "epoch": np.array(cols["epoch"], dtype=np.int64),
-        "mse_linear": np.array(cols["mse_linear"], dtype=np.float64),
-        "mse_db": np.array(cols["mse_db"], dtype=np.float64),
-    }
-    for key in ("train_acc", "test_acc"):
-        vals = cols[key]
-        out[key] = None if any(v is None for v in vals) else np.array(vals, dtype=np.float64)
-    return out
+    return {key: None if None in vals else np.array(
+                vals, dtype=np.int64 if key == "epoch" else np.float64)
+            for key, vals in _read_csv(path, _TRACE_CSV).items()}
+
+
+def _gaussian_cosine(by_kernel: np.ndarray, bank) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian and cosine blocks (kernels along axis 0) that fixed and
+    adaptive fusion mix; a bank without both cannot train under them."""
+    order = bank.kernel_order
+    if not {"gaussian", "cosine"} <= set(order):
+        raise InvalidModelError(
+            f"fixed and adaptive fusion need a gaussian and a cosine kernel, not {order}")
+    return by_kernel[order.index("gaussian")], by_kernel[order.index("cosine")]
 
 
 def _guard(e: float, epoch: int, sample: int) -> None:
     if not (abs(e) <= DIVERGENCE_LIMIT):
         raise DivergenceError(epoch, sample, e)
+
+
+def _first_failure(failed: list[DivergenceError], order) -> DivergenceError:
+    """The divergence of heads trained one after another over one order: the
+    failure first in that order, valued as the largest-magnitude error of the
+    heads failing there (every other head's error there is within the limit)."""
+    order = list(order)
+    first = min(failed, key=lambda exc: order.index(exc.sample - 1))
+    errors = np.array([exc.error_value for exc in failed if exc.sample == first.sample])
+    return DivergenceError(first.epoch, first.sample,
+                           float(errors[np.argmax(np.abs(errors))]))
 
 
 def _block_indices(order: np.ndarray) -> list[np.ndarray]:
@@ -239,9 +240,7 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
         model.bias = float(w_full[0])
         model.weights = w_full[1:].reshape((bank.n_kernels, bank.n_centers)).T.copy()
         return e
-    by_kernel = phi[1:].reshape(bank.n_kernels, bank.n_centers)
-    pg = by_kernel[bank.kernel_order.index("gaussian")]
-    pc = by_kernel[bank.kernel_order.index("cosine")]
+    pg, pc = _gaussian_cosine(phi[1:].reshape(bank.n_kernels, bank.n_centers), bank)
     ag, ac = model.mode.alpha_gaussian, model.mode.alpha_cosine
     if isinstance(model.mode, FixedFusion):
         g = np.concatenate(([1.0], ag * pg + ac * pc))
@@ -321,6 +320,11 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     index (column of X) of that sample; for several heads the error value is
     the failing sample's error of largest magnitude. The model then holds the
     parameters of the last completed epoch.
+
+    One scalar loop trains each adaptive head in turn over the epoch's order
+    (heads share only the design and the order); the block engine trains all
+    fixed or co heads at once. Fixed and adaptive fusion need a Gaussian and a
+    cosine kernel in the bank (InvalidModelError); co takes any kernel_order.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -329,7 +333,6 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if S == 0:
         raise EmptyInputError("fit needs at least one training sample")
     heads = model.heads if isinstance(model, MultiHeadRbfModel) else [model]
-    C = len(heads)
     bank = heads[0].bank
     mode = heads[0].mode
     for h in heads[1:]:
@@ -367,15 +370,70 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     train_acc: list[float] = []
     test_acc: list[float] = []
 
-    by_kernel = Phi[1:].reshape(L, K, S)
-    Pg = by_kernel[bank.kernel_order.index("gaussian")]
-    Pc = by_kernel[bank.kernel_order.index("cosine")]
-
     truth = None
     if classification:
         truth = labels if labels is not None else np.argmax(Dmat, axis=0)
 
-    def record_epoch() -> None:
+    co = isinstance(mode, CoFusion)
+    adaptive = isinstance(mode, AdaptiveFusion)
+    if co:
+        DS = np.ascontiguousarray(Phi.T)
+    else:
+        Pg, Pc = _gaussian_cosine(Phi[1:].reshape(L, K, S), bank)
+        if adaptive:
+            PgT, PcT = np.ascontiguousarray(Pg.T), np.ascontiguousarray(Pc.T)
+            alphas = [(h.mode.alpha_gaussian, h.mode.alpha_cosine) for h in heads]
+        else:
+            DS = np.empty((S, 1 + K))
+            DS[:, 0] = 1.0
+            DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
+    # the trained state, heads as rows: theta for co, [b, w] otherwise
+    Q = bank.vector_len if co else 1 + K
+    W = np.array([(_theta(h) if co else np.concatenate(([h.bias], h.weights)))
+                  if cfg.init == "keep" else _draw_init(rng_init, cfg, Q) for h in heads])
+    if not adaptive:
+        # fixed and co fusion reduce to linear SGD on a precomputed design
+        stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
+        # in dataset order every epoch presents the same blocks: invert once
+        fixed_blocks = None if cfg.shuffle else [
+            (idx, DS[idx], Drows[idx],
+             np.linalg.inv(_error_system(DS[idx], eta)) if stable else None)
+            for idx in _block_indices(np.arange(S))]
+
+    for t in range(cfg.epochs):
+        order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
+        if adaptive:
+            # heads share only the design and the order: each trains alone
+            failed: list[DivergenceError] = []
+            for c, d0 in enumerate(Dmat):
+                w, b, (ag, ac) = W[c, 1:], W[c, 0], alphas[c]
+                try:
+                    for s in order:
+                        pg, pc = PgT[s], PcT[s]
+                        sg = float(np.dot(w, pg))
+                        sc = float(np.dot(w, pc))
+                        y = ag * sg + ac * sc + b
+                        e = d0[s] - y
+                        if not (abs(e) <= DIVERGENCE_LIMIT):
+                            raise DivergenceError(t + 1, int(s) + 1, e)
+                        w += (eta * e) * (ag * pg + ac * pc)
+                        b += eta * e
+                        ag += a_eta * e * sg
+                        ac += a_eta * e * sc
+                except DivergenceError as exc:
+                    failed.append(exc)
+                W[c, 0], alphas[c] = b, (ag, ac)
+            if failed:
+                raise _first_failure(failed, order)
+        else:
+            for idx, A, D_block, Minv in fixed_blocks or [
+                    (idx, DS[idx], Drows[idx], None) for idx in _block_indices(order)]:
+                _block_step(W, A, D_block, eta, Minv, stable, t + 1, idx)
+        for c, h in enumerate(heads):
+            h.bias = float(W[c, 0])
+            h.weights = W[c, 1:].reshape((L, K)).T.copy() if co else W[c, 1:].copy()
+            if adaptive:
+                h.mode.alpha_gaussian, h.mode.alpha_cosine = map(float, alphas[c])
         # the heads hold the epoch's trained state; every mode is theta . phi
         Theta = np.array([_theta(h) for h in heads])
         Y = Theta @ Phi
@@ -386,99 +444,6 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         if eval_phi is not None:
             preds = np.argmax(Theta @ eval_phi, axis=0)
             test_acc.append(float(np.mean(preds == eval_labels)))
-
-    if isinstance(mode, AdaptiveFusion):
-        Wc = np.empty((C, K))
-        B = np.empty(C)
-        Ag = np.empty(C)
-        Ac = np.empty(C)
-        for c, h in enumerate(heads):
-            if cfg.init == "keep":
-                Wc[c] = h.weights
-                B[c] = h.bias
-            else:
-                draw = _draw_init(rng_init, cfg, 1 + K)
-                B[c] = draw[0]
-                Wc[c] = draw[1:]
-            Ag[c] = h.mode.alpha_gaussian
-            Ac[c] = h.mode.alpha_cosine
-        PgT = np.ascontiguousarray(Pg.T)
-        PcT = np.ascontiguousarray(Pc.T)
-        single = C == 1
-        for t in range(cfg.epochs):
-            order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
-            if single:
-                w, d0 = Wc[0], Drows[:, 0]
-                b, ag, ac = float(B[0]), float(Ag[0]), float(Ac[0])
-                for s in order:
-                    pg, pc = PgT[s], PcT[s]
-                    sg = float(np.dot(w, pg))
-                    sc = float(np.dot(w, pc))
-                    y = ag * sg + ac * sc + b
-                    e = d0[s] - y
-                    if not (abs(e) <= DIVERGENCE_LIMIT):
-                        raise DivergenceError(t + 1, int(s) + 1, e)
-                    w += (eta * e) * (ag * pg + ac * pc)
-                    b += eta * e
-                    ag += a_eta * e * sg
-                    ac += a_eta * e * sc
-                B[0], Ag[0], Ac[0] = b, ag, ac
-            else:
-                for s in order:
-                    pg, pc = PgT[s], PcT[s]
-                    SG = Wc @ pg
-                    SC = Wc @ pc
-                    y = Ag * SG + Ac * SC + B
-                    e = Drows[s] - y
-                    if not np.all(np.abs(e) <= DIVERGENCE_LIMIT):
-                        raise DivergenceError(t + 1, int(s) + 1, float(e[np.argmax(np.abs(e))]))
-                    Wc += (eta * e)[:, None] * (Ag[:, None] * pg + Ac[:, None] * pc)
-                    B += eta * e
-                    Ag += a_eta * e * SG
-                    Ac += a_eta * e * SC
-            for c, h in enumerate(heads):
-                h.weights = Wc[c].copy()
-                h.bias = float(B[c])
-                h.mode.alpha_gaussian = float(Ag[c])
-                h.mode.alpha_cosine = float(Ac[c])
-            record_epoch()
-    else:
-        # fixed and co fusion reduce to linear SGD on a precomputed design
-        co = isinstance(mode, CoFusion)
-        if co:
-            DS = np.ascontiguousarray(Phi.T)
-            Q = DS.shape[1]
-        else:
-            Q = 1 + K
-            DS = np.empty((S, Q))
-            DS[:, 0] = 1.0
-            DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
-        W = np.empty((C, Q))
-        for c, h in enumerate(heads):
-            if cfg.init == "keep":
-                if co:
-                    W[c] = _theta(h)
-                else:
-                    W[c, 0] = h.bias
-                    W[c, 1:] = h.weights
-            else:
-                W[c] = _draw_init(rng_init, cfg, Q)
-        stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
-        # in dataset order every epoch presents the same blocks: invert once
-        fixed_blocks = None if cfg.shuffle else [
-            (idx, DS[idx], Drows[idx],
-             np.linalg.inv(_error_system(DS[idx], eta)) if stable else None)
-            for idx in _block_indices(np.arange(S))]
-        for t in range(cfg.epochs):
-            blocks = fixed_blocks or [
-                (idx, DS[idx], Drows[idx], None)
-                for idx in _block_indices(rng_shuffle.permutation(S))]
-            for idx, A, D_block, Minv in blocks:
-                _block_step(W, A, D_block, eta, Minv, stable, t + 1, idx)
-            for c, h in enumerate(heads):
-                h.bias = float(W[c, 0])
-                h.weights = W[c, 1:].reshape((L, K)).T.copy() if co else W[c, 1:].copy()
-            record_epoch()
 
     mse_arr = np.array(mse_lin)
     trace = TrainTrace(

@@ -4,7 +4,7 @@ Finite-difference gradient machinery for the trainer and acceptance suites:
 nudge one parameter, recompute the instantaneous cost, and compare the
 central-difference gradient against the increment sgd_step actually applied.
 replay_fit runs fit's schedule one sgd_step at a time, the reference for its
-block engine and its adaptive loops. run_python and run_corbf run this
+block engine and its adaptive loop. run_python and run_corbf run this
 checkout's corbf in a child process.
 """
 

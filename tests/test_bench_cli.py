@@ -1,20 +1,23 @@
 import dataclasses
+import importlib
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import corbf
-from corbf import cli
+from corbf import bench, cli
 from corbf.bench import (ARCHITECTURES, IRIS_INFLUENCE, MANIFEST_NAME,
                          TASK_DEFAULTS, TASKS, ExperimentConfig, bound_probe,
                          compare_report, config_from_manifest, curve_name,
                          expected_artifacts, mean_curve_name,
                          read_surface_csv, read_test_errors_csv,
                          run_experiment)
-from corbf.errors import InvalidConfigError, MissingArtifactsError
+from corbf.errors import (DataFormatError, InvalidConfigError,
+                          MissingArtifactsError, _read_csv)
 from corbf.tasks import plant_response
 from corbf.trainer import TrainTrace, read_trace_csv, write_trace_csv
 
@@ -248,6 +251,49 @@ class TestCompareReportErrors:
         assert exc.value.missing == [victim]
 
 
+# reader, header, a good row, a short row, a row with a non-numeric field
+READERS = {
+    "trace": (read_trace_csv, "epoch,mse_linear,mse_db,train_acc,test_acc",
+              "1,0.5,-3.0,NA,NA", "1,0.5,-3.0", "1,0.5,x,NA,NA"),
+    "surface": (read_surface_csv, "x1,x2,error", "0.1,0.2,0.3", "0.1,0.2",
+                "0.1,zz,0.3"),
+    "test-errors": (read_test_errors_csv, "run,index,error", "0,0,0.5", "0,0",
+                    "0,1,nope"),
+    "sysid-trace": (lambda p: _read_csv(p, bench._SYSID_TRACE_CSV),
+                    "t,input,actual,predicted", "0,1.0,2.0,2.5", "1,1.0,2.0",
+                    "1,1.0,2.0,x"),
+    "metric-table": (bench._read_metric_table, "architecture,phase,class,mean,std",
+                     "co,testing,all,97.50,1.20", "co,testing,all,97.50",
+                     "co,testing,all,abc,1.20"),
+}
+
+
+class TestArtifactReaders:
+    @pytest.mark.parametrize("fmt", READERS)
+    def test_malformed_rows_raise_data_format_error(self, fmt, tmp_path):
+        read, header, good, short, bad = READERS[fmt]
+        path = tmp_path / "artifact.csv"
+        path.write_text(f"{header}\n{good}\n", encoding="utf-8")
+        read(path)
+        for text, line in ((f"{header},extra\n{good}\n", 1),
+                           (f"{header}\n{good}\n{short}\n", 3),
+                           (f"{header}\n{good}\n{bad}\n", 3)):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataFormatError) as exc:
+                read(path)
+            assert (exc.value.path, exc.value.line) == (str(path), line)
+
+    def test_report_on_malformed_test_errors_exits_2(self, tiny_funapprox, tmp_path,
+                                                     capsys):
+        clone = tmp_path / "clone"
+        shutil.copytree(tiny_funapprox, clone)
+        (clone / "funapprox_co_test_errors.csv").write_text(
+            "run,index,error\n0,0\n", encoding="utf-8")
+        assert cli.main(["report", str(clone)]) == 2
+        assert "funapprox_co_test_errors.csv:2: expected 3 fields" in \
+            capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_jobs_do_not_change_artifacts(self, tiny_funapprox, tmp_path):
         cfg = ExperimentConfig(task="funapprox", runs=2, epochs=3,
@@ -351,3 +397,18 @@ class TestCli:
         assert rc == 0
         with open(tmp_path / MANIFEST_NAME, encoding="utf-8") as fh:
             assert json.load(fh)["funapprox_target"] == "constant-one"
+
+
+class TestBenchmarkTracer:
+    def test_every_trace_target_resolves_to_a_callable(self, monkeypatch):
+        # the benchmark's traced run wraps these names and stops at a missing
+        # one, so a rename must fail here as well
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        spans = importlib.import_module("spans")
+        assert spans.TARGETS
+        for _layer, target, _count in spans.TARGETS:
+            module_name, attr_path = target.split(":")
+            obj = importlib.import_module(module_name)
+            for name in attr_path.split("."):
+                obj = getattr(obj, name, None)
+            assert callable(obj), target

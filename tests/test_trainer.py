@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corbf import bench
-from corbf.errors import (DivergenceError, EmptyInputError, InvalidConfigError)
+from corbf.errors import (DivergenceError, EmptyInputError, InvalidConfigError,
+                          InvalidModelError)
 from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
                            kernel_matrix, kernel_vector)
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
@@ -276,8 +277,8 @@ def assert_fit_matches_replay(model, X, D, cfg):
 
 
 class TestBlockEngine:
-    """fit's exact block engine for fixed and co fusion, and its single- and
-    multi-head adaptive loops, against sgd_step."""
+    """fit's exact block engine for fixed and co fusion, and its one adaptive
+    loop (run once per head), against sgd_step."""
 
     @pytest.mark.parametrize("init", INIT_KINDS)
     @pytest.mark.parametrize("shuffle", [False, True])
@@ -292,40 +293,67 @@ class TestBlockEngine:
             alpha_eta=0.5 * eta))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(mode=st.sampled_from(["fixed", "co"]), n_heads=st.sampled_from([1, 3]),
+    @given(mode=st.sampled_from(["fixed", "co", "adaptive"]), n_heads=st.sampled_from([1, 3]),
            shuffle=st.booleans(), init=st.sampled_from(INIT_KINDS),
            S=st.integers(1, 2 * BLOCK_SIZE + 75), a=st.integers(1, 3),
            K=st.integers(1, 4), epochs=st.integers(1, 3),
            frac=st.floats(0.01, 1.9), seed=st.integers(0, 2**32 - 1))
     def test_random_designs_match_sequential_steps(self, mode, n_heads, shuffle, init,
                                                    S, a, K, epochs, frac, seed):
+        if mode == "adaptive":
+            # the coefficient steps feed back into the weight steps, and at
+            # frac 1.9 one random design in twenty diverges (none of 300 at 1)
+            frac /= 2
         model, X, D, eta = fit_problem(mode, n_heads, S, a, K, frac, seed)
         assert_fit_matches_replay(model, X, D, TrainConfig(
             eta=eta, epochs=epochs, seed=seed, shuffle=shuffle, init=init))
 
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("shuffle", [False, True])
-    @pytest.mark.parametrize("frac,bad_target", [(5.0, None), (1e14, None),
-                                                  (1.5, np.nan), (1.5, 1e13)])
-    def test_divergence_names_first_failing_step(self, frac, bad_target, shuffle,
-                                                 n_heads):
-        # At frac 5 every step expands the errors, and the first to fail sits
-        # at presented positions 123-195, past the first block when unshuffled.
-        # At 1e14 they overflow within the first block. A bad target at
-        # training-set index 200 trips the stable engine's own check, where a
-        # pivoted solve may spread a NaN to the errors before it.
+    @pytest.mark.parametrize("mode,frac,bad_target", [
+        pytest.param(mode, frac, bad, id=f"{prefix}{frac}-{bad}")
+        for mode, prefix in (("co", ""), ("adaptive", "adaptive-"))
+        for frac, bad in ((5.0, None), (1e14, None), (1.5, np.nan), (1.5, 1e13))])
+    def test_divergence_names_first_failing_step(self, mode, frac, bad_target,
+                                                 shuffle, n_heads):
+        # At frac 5 every co step expands the errors, and the first to fail
+        # sits at presented positions 123-195, past the first block when
+        # unshuffled. At 1e14 they overflow within the first block. A bad
+        # target at training-set index 200 trips the stable engine's own
+        # check, where a pivoted solve may spread a NaN to the errors before
+        # it. The adaptive loop has no blocks; its coefficients make frac 5
+        # fail within the first ten samples.
         S = 2 * BLOCK_SIZE + 44
-        model, X, D, eta = fit_problem("co", n_heads, S, frac=frac, seed=61)
+        model, X, D, eta = fit_problem(mode, n_heads, S, frac=frac, seed=61)
         if bad_target is not None:
             D[..., 200] = bad_target
         cfg = TrainConfig(eta=eta, epochs=3, seed=3, shuffle=shuffle, init="keep")
         with pytest.raises(DivergenceError) as want:
             replay_fit(model.copy(), X, D, cfg)
-        if not shuffle and frac != 1e14:
+        if mode == "co" and not shuffle and frac != 1e14:
             assert want.value.sample > BLOCK_SIZE
         with pytest.raises(DivergenceError) as got:
             fit(model, X, D, cfg)
         assert (got.value.epoch, got.value.sample) == (want.value.epoch, want.value.sample)
+        np.testing.assert_allclose(got.value.error_value, want.value.error_value,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["co", "adaptive"])
+    def test_divergence_names_the_head_failing_first_in_order(self, mode):
+        # Head 2 fails at presented position 51 and head 0 at 201. The
+        # adaptive loop trains head 0 to its failure before it reaches head 2,
+        # and must still name head 2's sample and value.
+        S = 2 * BLOCK_SIZE + 44
+        model, X, D, eta = fit_problem(mode, 3, S, seed=62)
+        D[2, 50] = 1e13
+        D[0, 200] = np.nan
+        cfg = TrainConfig(eta=eta, epochs=2, seed=3, init="keep")
+        with pytest.raises(DivergenceError) as want:
+            replay_fit(model.copy(), X, D, cfg)
+        assert (want.value.epoch, want.value.sample) == (1, 51)
+        with pytest.raises(DivergenceError) as got:
+            fit(model, X, D, cfg)
+        assert (got.value.epoch, got.value.sample) == (1, 51)
         np.testing.assert_allclose(got.value.error_value, want.value.error_value,
                                    rtol=1e-12)
 
@@ -350,6 +378,28 @@ class TestBlockEngine:
         out = run_python("-c", code, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+
+class TestOneKernelBank:
+    @pytest.mark.parametrize("kernel", ["gaussian", "cosine"])
+    def test_co_fusion_trains(self, kernel):
+        rng = np.random.default_rng(63)
+        bank = KernelBank(rng.normal(size=(2, 3)), kernel_order=(kernel,))
+        model = RbfModel(bank, CoFusion(), np.zeros((3, 1)))
+        X, D = rng.normal(size=(2, 40)), rng.normal(size=40)
+        assert_fit_matches_replay(model, X, D, TrainConfig(
+            eta=0.05, epochs=3, seed=1, shuffle=True))
+
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_mixing_modes_need_both_kernels(self, mode):
+        rng = np.random.default_rng(64)
+        bank = KernelBank(rng.normal(size=(2, 3)), kernel_order=("gaussian",))
+        model = RbfModel(bank, FIT_MODES[mode](), np.zeros(3))
+        X, D = rng.normal(size=(2, 10)), rng.normal(size=10)
+        with pytest.raises(InvalidModelError):
+            fit(model, X, D, TrainConfig(eta=0.05, epochs=1))
+        with pytest.raises(InvalidModelError):
+            sgd_step(model, X[:, 0], float(D[0]), eta=0.05)
 
 
 class TestTrainConfig:
