@@ -558,9 +558,13 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     if missing:
         raise MissingArtifactsError(results_dir, sorted(missing))
 
-    mean_curves = {
-        arch: read_trace_csv(os.path.join(results_dir, mean_curve_name(cfg.task, arch)))
-        for arch in cfg.architectures}
+    mean_curves = {}
+    for arch in cfg.architectures:
+        path = os.path.join(results_dir, mean_curve_name(cfg.task, arch))
+        mean_curves[arch] = read_trace_csv(path)
+        if len(mean_curves[arch]["epoch"]) != cfg.epochs:
+            raise DataFormatError(f"expected {cfg.epochs} epochs, got "
+                                  f"{len(mean_curves[arch]['epoch'])}", path=path)
     lines = [
         f"experiment: {cfg.task} | architectures: {', '.join(cfg.architectures)} | "
         f"runs: {cfg.runs} | epochs: {cfg.epochs} | eta: {cfg.eta}",
@@ -627,8 +631,10 @@ def compare_report(results_dir: str | os.PathLike) -> str:
                 _fmt(ref_db))
         max_abs = {}
         for arch in cfg.architectures:
-            errs = read_test_errors_csv(
-                os.path.join(results_dir, f"funapprox_{arch}_test_errors.csv"))
+            path = os.path.join(results_dir, f"funapprox_{arch}_test_errors.csv")
+            errs = read_test_errors_csv(path)
+            if not errs:
+                raise DataFormatError("no test errors", path=path)
             max_abs[arch] = max(float(np.max(np.abs(e))) for e in errs.values())
             band = reference.REPORTED_FUNAPPROX_BAND.get(arch)
             row(f"funapprox max |test error| ({arch})", _fmt(max_abs[arch], 3),

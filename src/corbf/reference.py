@@ -13,10 +13,6 @@ Class columns follow the reported order (virginica, versicolor, setosa).
 
 from __future__ import annotations
 
-ARCHITECTURES = ("manual", "adaptive", "co")
-PHASES = ("training", "testing")
-IRIS_CLASS_ORDER = ("virginica", "versicolor", "setosa")
-
 # (mean, std) percent, keyed by (architecture, phase).
 REPORTED_IRIS_ACCURACY: dict[tuple[str, str], tuple[float, float]] = {
     ("manual", "training"): (97.71, 0.61),

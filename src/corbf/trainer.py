@@ -6,12 +6,17 @@ increment from the pre-update parameter values. Epoch statistics (MSE over the
 full training set, accuracies for classification) are computed after each
 epoch finishes, never from the running instantaneous errors.
 
-sgd_step is the sequential reference. Adaptive fusion trains sample by
-sample in one scalar loop, run once per head over the epoch's order. Fixed
-and co fusion are linear in their weights, so fit runs them as exact blocks
-of up to BLOCK_SIZE presented samples: one triangular solve yields every
+sgd_step is the sequential reference. fit presents each epoch in blocks of
+up to BLOCK_SIZE samples. Fixed and co fusion are linear in their weights, so
+fit runs them as exact blocks: one triangular solve yields every
 instantaneous error of the block, then one product applies all of its
-increments. This matches repeated sgd_step calls up to rounding.
+increments. Adaptive fusion multiplies the weights by trainable
+coefficients, so it stays sample by sample, one head after another. Its
+steps read the weights only through the sample's Gaussian and cosine
+projections: one product gives them at the block's starting weights, each
+step adds the block's Gram-matrix rows times the increments made so far in
+the block, and one product applies those increments at its end. Both match
+repeated sgd_step calls up to rounding.
 
 After each epoch fit writes the trained state into the model and evaluates
 every mode the same way, as theta . phi (model._theta).
@@ -50,10 +55,11 @@ from .model import (
 
 DIVERGENCE_LIMIT = 1e12
 
-# Samples per exact block of the linear-mode engine. The B x B error system
-# of a block is built (shuffle) or inverted (fixed order) whole, so this caps
-# its memory: inverting sysid's 400-sample epoch as one block raised the
-# benchmark's peak RSS by 16%, blocks of 128 by 2%.
+# Samples per block of the linear-mode engine and of the adaptive loop. The
+# B x B error system of a block is built (shuffle) or inverted (fixed order)
+# whole, and so is the adaptive loop's 2B x 2B Gram matrix (512 KiB), so this
+# caps their memory: inverting sysid's 400-sample epoch as one block raised
+# the benchmark's peak RSS by 16%, blocks of 128 by 2%.
 BLOCK_SIZE = 128
 
 INIT_KINDS = ("uniform", "zeros", "keep")
@@ -214,6 +220,19 @@ def _block_step(W: np.ndarray, A: np.ndarray, D: np.ndarray, eta: float,
     W += (eta * E).T @ A
 
 
+def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
+    """One presentation block of the adaptive loop, for the samples idx.
+
+    P2[s] holds sample s's Gaussian and cosine rows. Returns idx, the block's
+    stacked rows Z (row 2i is sample i's Gaussian row, 2i + 1 its cosine row),
+    the rows of its Gram matrix Z Z^T in pairs (one (2, 2n) view per sample)
+    and the targets as lists, one per head.
+    """
+    Z = P2[idx].reshape(2 * len(idx), -1)
+    G = Z @ Z.T
+    return idx, Z, list(G.reshape(len(idx), 2, -1)), Dmat[:, idx].tolist()
+
+
 def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
              alpha_eta: float | None = None, epoch: int = 0, sample: int = 0) -> float:
     """One per-sample update, in place; returns the pre-update error e.
@@ -322,9 +341,11 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     parameters of the last completed epoch.
 
     One scalar loop trains each adaptive head in turn over the epoch's order
-    (heads share only the design and the order); the block engine trains all
-    fixed or co heads at once. Fixed and adaptive fusion need a Gaussian and a
-    cosine kernel in the bank (InvalidModelError); co takes any kernel_order.
+    (heads share only the design, the order and each block's Gram matrix,
+    built once per fit in dataset order and once per epoch under shuffle);
+    the block engine trains all fixed or co heads at once. Fixed and adaptive
+    fusion need a Gaussian and a cosine kernel in the bank (InvalidModelError);
+    co takes any kernel_order.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -381,7 +402,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     else:
         Pg, Pc = _gaussian_cosine(Phi[1:].reshape(L, K, S), bank)
         if adaptive:
-            PgT, PcT = np.ascontiguousarray(Pg.T), np.ascontiguousarray(Pc.T)
+            P2 = np.stack((Pg.T, Pc.T), axis=1)
             alphas = [(h.mode.alpha_gaussian, h.mode.alpha_cosine) for h in heads]
         else:
             DS = np.empty((S, 1 + K))
@@ -391,7 +412,11 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     Q = bank.vector_len if co else 1 + K
     W = np.array([(_theta(h) if co else np.concatenate(([h.bias], h.weights)))
                   if cfg.init == "keep" else _draw_init(rng_init, cfg, Q) for h in heads])
-    if not adaptive:
+    if adaptive:
+        # in dataset order every epoch presents the same blocks: build them once
+        fixed_blocks = None if cfg.shuffle else [
+            _gram_block(P2, Dmat, idx) for idx in _block_indices(np.arange(S))]
+    else:
         # fixed and co fusion reduce to linear SGD on a precomputed design
         stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
         # in dataset order every epoch presents the same blocks: invert once
@@ -403,23 +428,33 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     for t in range(cfg.epochs):
         order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
         if adaptive:
-            # heads share only the design and the order: each trains alone
+            blocks = fixed_blocks or [_gram_block(P2, Dmat, idx)
+                                      for idx in _block_indices(order)]
+            # heads share only the design, the order and the blocks: each
+            # trains alone
             failed: list[DivergenceError] = []
-            for c, d0 in enumerate(Dmat):
-                w, b, (ag, ac) = W[c, 1:], W[c, 0], alphas[c]
+            for c in range(len(heads)):
+                w, b, (ag, ac) = W[c, 1:], float(W[c, 0]), alphas[c]
                 try:
-                    for s in order:
-                        pg, pc = PgT[s], PcT[s]
-                        sg = float(np.dot(w, pg))
-                        sc = float(np.dot(w, pc))
-                        y = ag * sg + ac * sc + b
-                        e = d0[s] - y
-                        if not (abs(e) <= DIVERGENCE_LIMIT):
-                            raise DivergenceError(t + 1, int(s) + 1, e)
-                        w += (eta * e) * (ag * pg + ac * pc)
-                        b += eta * e
-                        ag += a_eta * e * sg
-                        ac += a_eta * e * sc
+                    for idx, Z, G_rows, targets in blocks:
+                        # within the block w moves only by inc @ Z, so sample
+                        # i's projections w . Z[2i:2i+2] are r[2i:2i+2] + G inc
+                        r = (Z @ w).tolist()
+                        inc = np.zeros(len(r))
+                        for j, G_j, d in zip(range(0, len(r), 2), G_rows, targets[c]):
+                            qg, qc = np.dot(G_j, inc).tolist()
+                            sg = r[j] + qg
+                            sc = r[j + 1] + qc
+                            e = d - (ag * sg + ac * sc + b)
+                            if not (abs(e) <= DIVERGENCE_LIMIT):
+                                raise DivergenceError(t + 1, int(idx[j // 2]) + 1, e)
+                            step = eta * e
+                            inc[j] = step * ag
+                            inc[j + 1] = step * ac
+                            b += step
+                            ag += a_eta * e * sg
+                            ac += a_eta * e * sc
+                        w += inc @ Z
                 except DivergenceError as exc:
                     failed.append(exc)
                 W[c, 0], alphas[c] = b, (ag, ac)

@@ -293,6 +293,25 @@ class TestArtifactReaders:
         assert "funapprox_co_test_errors.csv:2: expected 3 fields" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,text,message", [
+        pytest.param("funapprox_co_test_errors.csv", "run,index,error\n",
+                      "no test errors", id="test-errors-header-only"),
+        pytest.param("funapprox_co_mean_curve.csv",
+                     "epoch,mse_linear,mse_db,train_acc,test_acc\n",
+                     "expected 3 epochs, got 0", id="mean-curve-header-only"),
+        pytest.param("funapprox_co_mean_curve.csv",
+                     "epoch,mse_linear,mse_db,train_acc,test_acc\n1,0.5,-3.0,NA,NA\n",
+                     "expected 3 epochs, got 1", id="mean-curve-short")])
+    def test_report_on_artifact_without_rows_exits_2(self, tiny_funapprox, tmp_path,
+                                                      capsys, name, text, message):
+        # the report reads the last epoch of every mean curve and the largest
+        # test error of every architecture, so rows missing there are malformed
+        clone = tmp_path / "clone"
+        shutil.copytree(tiny_funapprox, clone)
+        (clone / name).write_text(text, encoding="utf-8")
+        assert cli.main(["report", str(clone)]) == 2
+        assert f"{name}: {message}" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_jobs_do_not_change_artifacts(self, tiny_funapprox, tmp_path):

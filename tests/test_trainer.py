@@ -357,6 +357,37 @@ class TestBlockEngine:
         np.testing.assert_allclose(got.value.error_value, want.value.error_value,
                                    rtol=1e-12)
 
+    def test_adaptive_divergence_after_reusing_fixed_order_blocks(self):
+        # In dataset order the adaptive loop builds each block's Gram matrix
+        # once per fit. Here the first failure comes in epoch 2, in the second
+        # block, so it is reached through blocks that epoch 1 already used.
+        S = 2 * BLOCK_SIZE + 44
+        model, X, D, eta = fit_problem("adaptive", 3, S, frac=1.9, seed=61)
+        cfg = TrainConfig(eta=eta, epochs=3, seed=3, init="keep")
+        with pytest.raises(DivergenceError) as want:
+            replay_fit(model.copy(), X, D, cfg)
+        assert (want.value.epoch, want.value.sample) == (2, 197)
+        with pytest.raises(DivergenceError) as got:
+            fit(model, X, D, cfg)
+        assert (got.value.epoch, got.value.sample) == (2, 197)
+        np.testing.assert_allclose(got.value.error_value, want.value.error_value,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_adaptive_heads_train_independently(self, shuffle):
+        # heads share the design, the order and the blocks' Gram matrices but
+        # nothing they train: head c of a multi-head fit is, bit for bit, a
+        # fit of that head alone
+        S = 2 * BLOCK_SIZE + 44
+        model, X, D, eta = fit_problem("adaptive", 3, S, seed=65)
+        cfg = TrainConfig(eta=eta, epochs=3, seed=5, shuffle=shuffle, init="keep",
+                          alpha_eta=0.5 * eta)
+        alone = [fit(h.copy(), X, D[c], cfg).final_model
+                 for c, h in enumerate(model.heads)]
+        together = fit(model, X, D, cfg).final_model.heads
+        for one, head in zip(alone, together):
+            np.testing.assert_array_equal(head_params(head), head_params(one))
+
     def test_import_and_fit_load_no_scipy(self):
         # scipy's import alone would cost a fresh process 0.2-0.4 s, and the
         # package declares numpy as its only dependency
