@@ -7,7 +7,9 @@ surfaces and test-error listings, system-identification predicted-vs-actual
 traces), plus one JSON manifest describing the whole experiment. Re-running
 with the config recorded in a manifest reproduces the curve files byte for
 byte: every random stream derives from seed + run_index and aggregation order
-is fixed by run index, never by completion order.
+is fixed by run index, never by completion order. Each run's results keep the
+arrays training and evaluation produced; the artifact writers turn them into
+Python floats.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .centers import SubtractiveConfig, fixed_centers, subtractive_clustering
 from .errors import (DataFormatError, DivergenceError, InvalidConfigError,
                      MissingArtifactsError, _read_csv, _write_csv)
 from .kernels import CosineParams, GaussianParams, KernelBank, kernel_matrix
-from .metrics import (_METRIC_TABLE_CSV, accuracy, confusion, error_surface,
-                      format_percent, format_youden,
+from .metrics import (_METRIC_TABLE_CSV, ErrorSurface, accuracy, confusion,
+                      error_surface, format_percent, format_youden,
                       sensitivity_specificity_youden, write_metric_table)
 from .model import (AdaptiveFusion, CoFusion, FixedFusion, MultiHeadRbfModel,
                     RbfModel, forward_batch)
@@ -156,10 +158,10 @@ def _multi_head(bank: KernelBank, arch: str, labels: tuple) -> MultiHeadRbfModel
     return MultiHeadRbfModel(heads, tuple(labels))
 
 
-def _train_config(params: dict, run_seed: int) -> TrainConfig:
-    return TrainConfig(eta=params["eta"], epochs=params["epochs"], seed=run_seed,
-                       shuffle=params["shuffle"], init=params["init"],
-                       init_scale=params["init_scale"], alpha_eta=params["alpha_eta"])
+def _train_config(cfg: ExperimentConfig, run_seed: int) -> TrainConfig:
+    return TrainConfig(eta=cfg.eta, epochs=cfg.epochs, seed=run_seed,
+                       shuffle=cfg.shuffle, init=cfg.init,
+                       init_scale=cfg.init_scale, alpha_eta=cfg.alpha_eta)
 
 
 def _phase_metrics(model: MultiHeadRbfModel, X: np.ndarray, y: np.ndarray,
@@ -177,80 +179,60 @@ def _phase_metrics(model: MultiHeadRbfModel, X: np.ndarray, y: np.ndarray,
     }
 
 
-def _run_single(task: str, arch: str, run_seed: int, params: dict,
-                want_extras: bool) -> dict:
-    """One seeded training run; returns plain lists/floats so it can cross
-    process boundaries. want_extras adds the per-run model-dependent artifacts
-    (surfaces, predicted-vs-actual) emitted only for the first run."""
+def _problem(cfg: ExperimentConfig, run_seed: int) -> tuple:
+    """(X, D, bank, test) of one seeded run: training inputs and targets, the
+    kernel bank, and what the run is evaluated on (the iris or funapprox test
+    split, or the sysid signal)."""
+    if cfg.task == "iris":
+        train, test = load_iris(seed=run_seed)
+        return train.X, train.y, _iris_bank(train.X, cfg.sigma), test
+    if cfg.task == "funapprox":
+        train, test = gen_function_approx(funapprox_target(cfg.funapprox_target))
+        bank = KernelBank(train.X.copy(), GaussianParams(cfg.sigma), CosineParams())
+        return train.X, train.y, bank, test
+    signal = gen_sysid(seed=run_seed)
+    centers = fixed_centers(
+        np.array([[c] for c in SYSID_CENTER_SETS[cfg.sysid_centers]]))
+    bank = KernelBank(centers, GaussianParams(cfg.sigma), CosineParams())
+    return signal.u.reshape(1, -1), signal.y_noisy, bank, signal
+
+
+def _run_single(cfg: ExperimentConfig, arch: str, run: int) -> dict:
+    """Run `run` of arch under the resolved cfg. Run 0 also keeps the
+    model-dependent artifacts (error surfaces, predicted-vs-actual trace)."""
+    run_seed = cfg.seed + run
     out: dict = {"arch": arch, "seed": run_seed}
     try:
-        if task == "iris":
-            train, test = load_iris(seed=run_seed)
-            bank = _iris_bank(train.X, params["sigma"])
-            model = _multi_head(bank, arch, train.class_labels)
-            trace = fit(model, train.X, train.y, _train_config(params, run_seed),
+        X, D, bank, test = _problem(cfg, run_seed)
+        if cfg.task == "iris":
+            labels = test.class_labels
+            model = _multi_head(bank, arch, labels)
+            trace = fit(model, X, D, _train_config(cfg, run_seed),
                         eval_set=(test.X, test.y))
-            final = trace.final_model
             out["metrics"] = {
-                "training": _phase_metrics(final, train.X, train.y, train.class_labels),
-                "testing": _phase_metrics(final, test.X, test.y, train.class_labels),
+                "training": _phase_metrics(trace.final_model, X, D, labels),
+                "testing": _phase_metrics(trace.final_model, test.X, test.y, labels),
             }
-        elif task == "funapprox":
-            truth = funapprox_target(params["funapprox_target"])
-            train, test = gen_function_approx(truth)
-            bank = KernelBank(train.X.copy(), GaussianParams(params["sigma"]),
-                              CosineParams())
-            model = _single_head(bank, arch)
-            trace = fit(model, train.X, train.y, _train_config(params, run_seed))
-            final = trace.final_model
-            test_err = test.y - forward_batch(final, test.X)
-            out["test_errors"] = [float(v) for v in test_err]
-            if want_extras:
-                surf_tr = error_surface(final, [(-1.0, 1.0), (-1.0, 1.0)], 0.2, truth)
-                surf_te = error_surface(final, [(-0.9, 0.9), (-0.9, 0.9)], 0.2, truth)
-                out["surfaces"] = {
-                    "train": _surface_payload(surf_tr),
-                    "test": _surface_payload(surf_te),
-                }
         else:
-            signal = gen_sysid(seed=run_seed)
-            X = signal.u.reshape(1, -1)
-            centers = fixed_centers(
-                np.array([[c] for c in SYSID_CENTER_SETS[params["sysid_centers"]]]))
-            bank = KernelBank(centers, GaussianParams(params["sigma"]), CosineParams())
-            model = _single_head(bank, arch)
-            trace = fit(model, X, signal.y_noisy, _train_config(params, run_seed))
-            final = trace.final_model
-            if want_extras:
-                predicted = forward_batch(final, X)
-                out["trace_pairs"] = {
-                    "input": [float(v) for v in signal.u],
-                    "actual": [float(v) for v in signal.y_clean],
-                    "predicted": [float(v) for v in predicted],
+            trace = fit(_single_head(bank, arch), X, D, _train_config(cfg, run_seed))
+        final = trace.final_model
+        if cfg.task == "funapprox":
+            out["test_errors"] = test.y - forward_batch(final, test.X)
+            if run == 0:
+                truth = funapprox_target(cfg.funapprox_target)
+                out["surfaces"] = {
+                    "train": error_surface(final, [(-1.0, 1.0), (-1.0, 1.0)], 0.2, truth),
+                    "test": error_surface(final, [(-0.9, 0.9), (-0.9, 0.9)], 0.2, truth),
                 }
+        elif cfg.task == "sysid" and run == 0:
+            out["trace_pairs"] = {"input": test.u, "actual": test.y_clean,
+                                  "predicted": forward_batch(final, X)}
     except DivergenceError as exc:
         out["diverged"] = {"epoch": exc.epoch, "sample": exc.sample,
-                           "error_value": float(exc.error_value)}
+                           "error_value": exc.error_value}
         return out
-    out["mse_linear"] = [float(v) for v in trace.mse_linear]
-    out["mse_db"] = [float(v) for v in trace.mse_db]
-    out["train_acc"] = (None if trace.train_acc is None
-                        else [float(v) for v in trace.train_acc])
-    out["test_acc"] = (None if trace.test_acc is None
-                       else [float(v) for v in trace.test_acc])
+    out["trace"] = trace
     return out
-
-
-def _surface_payload(surf) -> dict:
-    return {
-        "axis1": [float(v) for v in surf.axis1],
-        "axis2": [float(v) for v in surf.axis2],
-        "errors": [[float(v) for v in row] for row in surf.errors],
-    }
-
-
-def _worker(args: tuple) -> dict:
-    return _run_single(*args)
 
 
 def curve_name(task: str, arch: str, run_index: int) -> str:
@@ -289,11 +271,11 @@ _TEST_ERRORS_CSV = {"run": int, "index": int, "error": float}
 _SYSID_TRACE_CSV = {"t": int, "input": float, "actual": float, "predicted": float}
 
 
-def _write_surface_csv(path: str, payload: dict) -> None:
-    errors = payload["errors"]
+def _write_surface_csv(path: str, surf: ErrorSurface) -> None:
+    errors = surf.errors.tolist()
     _write_csv(path, _SURFACE_CSV,
-               ((a, b, errors[i][j]) for i, a in enumerate(payload["axis1"])
-                for j, b in enumerate(payload["axis2"])))
+               ((a, b, errors[i][j]) for i, a in enumerate(surf.axis1.tolist())
+                for j, b in enumerate(surf.axis2.tolist())))
 
 
 def read_surface_csv(path: str) -> dict:
@@ -301,10 +283,10 @@ def read_surface_csv(path: str) -> dict:
     return {key: np.array(vals) for key, vals in _read_csv(path, _SURFACE_CSV).items()}
 
 
-def _write_test_errors_csv(path: str, per_run: dict[int, list[float]]) -> None:
+def _write_test_errors_csv(path: str, per_run: dict[int, np.ndarray]) -> None:
     _write_csv(path, _TEST_ERRORS_CSV,
                ((run_index, i, v) for run_index in sorted(per_run)
-                for i, v in enumerate(per_run[run_index])))
+                for i, v in enumerate(per_run[run_index].tolist())))
 
 
 def read_test_errors_csv(path: str) -> dict[int, np.ndarray]:
@@ -316,43 +298,29 @@ def read_test_errors_csv(path: str) -> dict[int, np.ndarray]:
     return {k: np.array(v) for k, v in acc.items()}
 
 
-def _write_sysid_trace_csv(path: str, pairs: dict) -> None:
+def _write_sysid_trace_csv(path: str, pairs: dict[str, np.ndarray]) -> None:
+    columns = (pairs[key].tolist() for key in ("input", "actual", "predicted"))
     _write_csv(path, _SYSID_TRACE_CSV,
-               ((t, *row) for t, row in enumerate(zip(pairs["input"], pairs["actual"],
-                                                      pairs["predicted"]))))
-
-
-def _trace_from_result(res: dict) -> TrainTrace:
-    n = len(res["mse_linear"])
-    return TrainTrace(
-        epochs=np.arange(1, n + 1),
-        mse_linear=np.array(res["mse_linear"]),
-        mse_db=np.array(res["mse_db"]),
-        train_acc=None if res["train_acc"] is None else np.array(res["train_acc"]),
-        test_acc=None if res["test_acc"] is None else np.array(res["test_acc"]),
-        final_model=None,
-    )
+               ((t, *row) for t, row in enumerate(zip(*columns))))
 
 
 def _mean_curve_trace(results: list[dict]) -> TrainTrace:
     """Average completed runs epoch-wise. mse_linear is the mean linear MSE;
     mse_db is the mean of per-run dB curves (the convention used for reported
     curve comparisons); accuracies are plain means."""
-    lin = np.stack([r["mse_linear"] for r in results])
-    db = np.stack([r["mse_db"] for r in results])
-    n = lin.shape[1]
+    traces = [r["trace"] for r in results]
 
-    def _acc(key):
-        if results[0][key] is None:
+    def _mean(key):
+        if getattr(traces[0], key) is None:
             return None
-        return np.stack([r[key] for r in results]).mean(axis=0)
+        return np.stack([getattr(t, key) for t in traces]).mean(axis=0)
 
     return TrainTrace(
-        epochs=np.arange(1, n + 1),
-        mse_linear=lin.mean(axis=0),
-        mse_db=db.mean(axis=0),
-        train_acc=_acc("train_acc"),
-        test_acc=_acc("test_acc"),
+        epochs=traces[0].epochs,
+        mse_linear=_mean("mse_linear"),
+        mse_db=_mean("mse_db"),
+        train_acc=_mean("train_acc"),
+        test_acc=_mean("test_acc"),
         final_model=None,
     )
 
@@ -403,29 +371,22 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except OSError as exc:
         raise InvalidConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}")
 
-    params = {"eta": cfg.eta, "epochs": cfg.epochs, "sigma": cfg.sigma,
-              "shuffle": cfg.shuffle, "init": cfg.init, "init_scale": cfg.init_scale,
-              "alpha_eta": cfg.alpha_eta, "funapprox_target": cfg.funapprox_target,
-              "sysid_centers": cfg.sysid_centers}
-    jobs_list = [(cfg.task, arch, cfg.seed + run, params, run == 0)
-                 for arch in cfg.architectures for run in range(cfg.runs)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            flat = list(pool.map(_worker, jobs_list))
+    jobs = [(cfg, arch, run) for arch in cfg.architectures for run in range(cfg.runs)]
+    # the pool starts all its workers at once, so never more than there are runs
+    workers = min(cfg.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            flat = list(pool.map(_run_single, *zip(*jobs)))
     else:
-        flat = [_worker(args) for args in jobs_list]
+        flat = [_run_single(*job) for job in jobs]
 
     completed: dict[str, list[tuple[int, dict]]] = {a: [] for a in cfg.architectures}
     divergences: dict[str, list[dict]] = {a: [] for a in cfg.architectures}
-    pos = 0
-    for arch in cfg.architectures:
-        for run in range(cfg.runs):
-            res = flat[pos]
-            pos += 1
-            if "diverged" in res:
-                divergences[arch].append({"run": run, **res["diverged"]})
-            else:
-                completed[arch].append((run, res))
+    for (_, arch, run), res in zip(jobs, flat):
+        if "diverged" in res:
+            divergences[arch].append({"run": run, **res["diverged"]})
+        else:
+            completed[arch].append((run, res))
 
     written: list[str] = [MANIFEST_NAME]
 
@@ -436,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     for arch in cfg.architectures:
         for run, res in completed[arch]:
             _emit(curve_name(cfg.task, arch, run),
-                  lambda p, r=res: write_trace_csv(_trace_from_result(r), p))
+                  lambda p, t=res["trace"]: write_trace_csv(t, p))
         if completed[arch]:
             results = [r for _, r in completed[arch]]
             _emit(mean_curve_name(cfg.task, arch),
@@ -515,16 +476,22 @@ def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
             m = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"manifest is not valid JSON: {exc}", path=str(path))
+    if not isinstance(m, dict):
+        raise DataFormatError("manifest is not a JSON object", path=str(path))
     if m.get("format") != MANIFEST_FORMAT:
         raise DataFormatError(
             f"unexpected manifest format {m.get('format')!r}", path=str(path))
-    return ExperimentConfig(
-        task=m["task"], architectures=tuple(m["architectures"]), runs=m["runs"],
-        seed=m["seed"], out_dir=os.path.dirname(os.path.abspath(path)) or ".",
-        epochs=m["epochs"], eta=m["eta"], sigma=m["sigma"], shuffle=m["shuffle"],
-        init=m["init"], init_scale=m["init_scale"], alpha_eta=m["alpha_eta"],
-        jobs=m["jobs"], funapprox_target=m["funapprox_target"],
-        sysid_centers=m["sysid_centers"])
+    try:
+        return ExperimentConfig(
+            task=m["task"], architectures=tuple(m["architectures"]), runs=m["runs"],
+            seed=m["seed"], out_dir=os.path.dirname(os.path.abspath(path)) or ".",
+            epochs=m["epochs"], eta=m["eta"], sigma=m["sigma"], shuffle=m["shuffle"],
+            init=m["init"], init_scale=m["init_scale"], alpha_eta=m["alpha_eta"],
+            jobs=m["jobs"], funapprox_target=m["funapprox_target"],
+            sysid_centers=m["sysid_centers"])
+    except KeyError as exc:
+        raise DataFormatError(f"manifest lacks the key {exc.args[0]!r}",
+                              path=str(path)) from None
 
 
 def _read_metric_table(path: str) -> list[dict]:
@@ -690,27 +657,10 @@ def bound_probe(task: str, seed: int = 0, eta: float | None = None,
                 sysid_centers: str = "symmetric") -> dict:
     """Compute the stable-learning-rate bound 1/lambda_max for a task's
     default design and flag whether the task's learning rate respects it."""
-    if task not in TASKS:
-        raise InvalidConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-    sigma = TASK_DEFAULTS[task]["sigma"]
-    if task == "iris":
-        train, _test = load_iris(seed=seed)
-        bank = _iris_bank(train.X, sigma)
-        X = train.X
-    elif task == "funapprox":
-        train, _test = gen_function_approx(funapprox_target(funapprox_target_name))
-        bank = KernelBank(train.X.copy(), GaussianParams(sigma), CosineParams())
-        X = train.X
-    else:
-        if sysid_centers not in SYSID_CENTER_SETS:
-            raise InvalidConfigError(
-                f"unknown sysid center set {sysid_centers!r}; "
-                f"expected one of {tuple(SYSID_CENTER_SETS)}")
-        signal = gen_sysid(seed=seed)
-        X = signal.u.reshape(1, -1)
-        centers = fixed_centers(np.array([[c] for c in SYSID_CENTER_SETS[sysid_centers]]))
-        bank = KernelBank(centers, GaussianParams(sigma), CosineParams())
+    cfg = ExperimentConfig(task, funapprox_target=funapprox_target_name,
+                           sysid_centers=sysid_centers).resolved()
+    X, _, bank, _ = _problem(cfg, seed)
     bound = learning_rate_bound(kernel_matrix(X, bank))
-    eta_used = TASK_DEFAULTS[task]["eta"] if eta is None else eta
+    eta_used = cfg.eta if eta is None else eta
     return {"task": task, "bound": bound, "eta": eta_used,
             "respects": bool(eta_used <= bound)}

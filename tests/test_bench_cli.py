@@ -250,6 +250,21 @@ class TestCompareReportErrors:
             compare_report(clone)
         assert exc.value.missing == [victim]
 
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda m: {k: v for k, v in m.items() if k != "sysid_centers"},
+                     "manifest lacks the key 'sysid_centers'", id="missing-key"),
+        pytest.param(lambda m: [1, 2], "manifest is not a JSON object",
+                     id="not-an-object")])
+    def test_report_on_malformed_manifest_exits_2(self, tiny_funapprox, tmp_path,
+                                                   capsys, edit, message):
+        clone = tmp_path / "clone"
+        shutil.copytree(tiny_funapprox, clone)
+        manifest = clone / MANIFEST_NAME
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text(
+            encoding="utf-8")))), encoding="utf-8")
+        assert cli.main(["report", str(clone)]) == 2
+        assert f"{manifest}: {message}" in capsys.readouterr().err
+
 
 # reader, header, a good row, a short row, a row with a non-numeric field
 READERS = {
@@ -314,20 +329,49 @@ class TestArtifactReaders:
 
 
 class TestDeterminism:
-    def test_jobs_do_not_change_artifacts(self, tiny_funapprox, tmp_path):
-        cfg = ExperimentConfig(task="funapprox", runs=2, epochs=3,
-                               out_dir=str(tmp_path), jobs=2)
-        assert run_experiment(cfg) == 0
-        for name in os.listdir(tiny_funapprox):
+    @pytest.mark.parametrize("task", TASKS)
+    def test_jobs_do_not_change_artifacts(self, task, tmp_path):
+        # iris results carry metric dicts and sysid results trace arrays across
+        # the process boundary
+        serial, pooled = tmp_path / "jobs1", tmp_path / "jobs2"
+        for out, jobs in ((serial, 1), (pooled, 2)):
+            cfg = ExperimentConfig(task=task, runs=2, epochs=3, out_dir=str(out),
+                                   jobs=jobs)
+            assert run_experiment(cfg) == 0
+        assert sorted(os.listdir(serial)) == sorted(os.listdir(pooled))
+        for name in os.listdir(serial):
             if name == MANIFEST_NAME:
-                a = json.loads((tiny_funapprox / name).read_text(encoding="utf-8"))
-                b = json.loads((tmp_path / name).read_text(encoding="utf-8"))
+                a = json.loads((serial / name).read_text(encoding="utf-8"))
+                b = json.loads((pooled / name).read_text(encoding="utf-8"))
                 for drop in ("wall_clock_sec", "jobs"):
                     a.pop(drop), b.pop(drop)
                 assert a == b
             else:
-                assert (tiny_funapprox / name).read_bytes() == \
-                    (tmp_path / name).read_bytes(), name
+                assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+    def test_workers_capped_at_run_count(self, monkeypatch, tmp_path):
+        # the pool forks all its workers at the first submit; a fake that maps
+        # in this process records how many were asked for
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        cfg = ExperimentConfig(task="sysid", architectures=("co",), runs=2, epochs=2,
+                               out_dir=str(tmp_path), jobs=64)
+        assert run_experiment(cfg) == 0
+        assert asked == [2]
 
     def test_manifest_round_trip_reproduces_curves(self, tiny_funapprox, tmp_path):
         cfg = config_from_manifest(tiny_funapprox / MANIFEST_NAME)
@@ -356,6 +400,8 @@ class TestBoundProbe:
             bound_probe("nope")
         with pytest.raises(InvalidConfigError):
             bound_probe("sysid", sysid_centers="nope")
+        with pytest.raises(InvalidConfigError):
+            bound_probe("funapprox", funapprox_target_name="nope")
 
 
 class TestCli:
