@@ -4,10 +4,12 @@ An experiment = one task x a set of architectures x `runs` seeded repetitions.
 Artifacts per architecture: per-run learning-curve CSVs, a mean curve CSV,
 task-specific outputs (iris metric tables, function-approximation error
 surfaces and test-error listings, system-identification predicted-vs-actual
-traces), plus one JSON manifest describing the whole experiment. Re-running
-with the config recorded in a manifest reproduces the curve files byte for
-byte: every random stream derives from seed + run_index and aggregation order
-is fixed by run index, never by completion order. Each run's results keep the
+traces), plus one JSON manifest describing the whole experiment: the fields
+of its ExperimentConfig (except out_dir), the settings every run of the task
+fixes, and what the runs did. config_from_manifest reads the config back by
+the same fields. Re-running it reproduces the curve files byte for byte:
+every random stream derives from seed + run_index and aggregation order is
+fixed by run index, never by completion order. Each run's results keep the
 arrays training and evaluation produced; the artifact writers turn them into
 Python floats.
 """
@@ -18,7 +20,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .model import (AdaptiveFusion, CoFusion, FixedFusion, MultiHeadRbfModel,
                     RbfModel, forward_batch)
 from .tasks import (DEFAULT_FUNAPPROX_TARGET, FUNAPPROX_TARGETS, funapprox_target,
                     gen_function_approx, gen_sysid, load_iris)
-from .trainer import (INIT_KINDS, TrainConfig, TrainTrace, fit,
+from .trainer import (TrainConfig, TrainTrace, fit,
                       learning_rate_bound, write_trace_csv, read_trace_csv)
 
 TASKS = ("iris", "funapprox", "sysid")
@@ -67,13 +69,20 @@ SYSID_CENTER_SETS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved or partial settings for one benchmark experiment.
+    """The settings a caller chooses for one benchmark experiment.
 
-    Fields left at None fall back to TASK_DEFAULTS for the chosen task via
-    resolved(). seed is the root seed; run r uses seed + r for both its data
-    split/noise and its weight init.
+    Complete once constructed: epochs and eta left at None take the task's
+    TASK_DEFAULTS, and every field is checked, so a wrong type raises
+    InvalidConfigError rather than failing later. The Gaussian width, the
+    presentation order and the weight init are not settings: every run of a
+    task uses the same ones (_fixed_settings). seed is the root seed; run r
+    uses seed + r for both its data split/noise and its weight init.
     """
 
     task: str
@@ -83,11 +92,6 @@ class ExperimentConfig:
     out_dir: str = "corbf-results"
     epochs: int | None = None
     eta: float | None = None
-    sigma: float | None = None
-    shuffle: bool | None = None
-    init: str = "uniform"
-    init_scale: float = 0.1
-    alpha_eta: float | None = None
     jobs: int = 1
     funapprox_target: str = DEFAULT_FUNAPPROX_TARGET
     sysid_centers: str = "symmetric"
@@ -95,6 +99,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise InvalidConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        if not isinstance(self.architectures, (tuple, list)):
+            raise InvalidConfigError(
+                f"architectures must be a sequence of names, got {self.architectures!r}")
         archs = tuple(self.architectures)
         if not archs:
             raise InvalidConfigError("at least one architecture is required")
@@ -105,35 +112,23 @@ class ExperimentConfig:
         if len(set(archs)) != len(archs):
             raise InvalidConfigError(f"duplicate architecture in {archs}")
         object.__setattr__(self, "architectures", archs)
-        if self.runs < 1:
-            raise InvalidConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.jobs < 1:
-            raise InvalidConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.epochs is not None and self.epochs < 1:
-            raise InvalidConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.eta is not None and not self.eta > 0.0:
-            raise InvalidConfigError(f"eta must be > 0, got {self.eta}")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise InvalidConfigError(f"sigma must be > 0, got {self.sigma}")
-        if self.init not in INIT_KINDS:
-            raise InvalidConfigError(f"unknown init {self.init!r}; expected one of {INIT_KINDS}")
+        for key in ("epochs", "eta"):
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, TASK_DEFAULTS[self.task][key])
+        for key, low in (("runs", 1), ("seed", 0), ("jobs", 1), ("epochs", 1)):
+            value = getattr(self, key)
+            if not _is_int(value) or value < low:
+                raise InvalidConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+        if not ((_is_int(self.eta) or isinstance(self.eta, float)) and self.eta > 0.0):
+            raise InvalidConfigError(f"eta must be a number > 0, got {self.eta!r}")
         if self.funapprox_target not in FUNAPPROX_TARGETS:
             raise InvalidConfigError(
                 f"unknown funapprox target {self.funapprox_target!r}; "
                 f"expected one of {FUNAPPROX_TARGETS}")
-        if self.sysid_centers not in SYSID_CENTER_SETS:
+        if self.sysid_centers not in tuple(SYSID_CENTER_SETS):
             raise InvalidConfigError(
                 f"unknown sysid center set {self.sysid_centers!r}; "
                 f"expected one of {tuple(SYSID_CENTER_SETS)}")
-
-    def resolved(self) -> "ExperimentConfig":
-        """A copy with every None training field filled from TASK_DEFAULTS."""
-        d = TASK_DEFAULTS[self.task]
-        fields = dict(asdict(self), architectures=self.architectures)
-        for key in ("epochs", "eta", "sigma", "shuffle"):
-            if fields[key] is None:
-                fields[key] = d[key]
-        return ExperimentConfig(**fields)
 
 
 def _iris_bank(X_train: np.ndarray, sigma: float) -> KernelBank:
@@ -160,8 +155,17 @@ def _multi_head(bank: KernelBank, arch: str, labels: tuple) -> MultiHeadRbfModel
 
 def _train_config(cfg: ExperimentConfig, run_seed: int) -> TrainConfig:
     return TrainConfig(eta=cfg.eta, epochs=cfg.epochs, seed=run_seed,
-                       shuffle=cfg.shuffle, init=cfg.init,
-                       init_scale=cfg.init_scale, alpha_eta=cfg.alpha_eta)
+                       shuffle=TASK_DEFAULTS[cfg.task]["shuffle"])
+
+
+def _fixed_settings(cfg: ExperimentConfig) -> dict:
+    """The settings every run of cfg.task uses and no caller sets: the task's
+    Gaussian width, and the presentation order, init and mix learning rate of
+    the TrainConfig its runs train under. The manifest records them."""
+    train = _train_config(cfg, cfg.seed)
+    return {"sigma": TASK_DEFAULTS[cfg.task]["sigma"], "shuffle": train.shuffle,
+            "init": train.init, "init_scale": train.init_scale,
+            "alpha_eta": train.alpha_eta}
 
 
 def _phase_metrics(model: MultiHeadRbfModel, X: np.ndarray, y: np.ndarray,
@@ -183,25 +187,26 @@ def _problem(cfg: ExperimentConfig, run_seed: int) -> tuple:
     """(X, D, bank, test) of one seeded run: training inputs and targets, the
     kernel bank, and what the run is evaluated on (the iris or funapprox test
     split, or the sysid signal)."""
+    sigma = TASK_DEFAULTS[cfg.task]["sigma"]
     if cfg.task == "iris":
         train, test = load_iris(seed=run_seed)
-        return train.X, train.y, _iris_bank(train.X, cfg.sigma), test
+        return train.X, train.y, _iris_bank(train.X, sigma), test
     if cfg.task == "funapprox":
         train, test = gen_function_approx(funapprox_target(cfg.funapprox_target))
-        bank = KernelBank(train.X.copy(), GaussianParams(cfg.sigma), CosineParams())
+        bank = KernelBank(train.X.copy(), GaussianParams(sigma), CosineParams())
         return train.X, train.y, bank, test
     signal = gen_sysid(seed=run_seed)
     centers = fixed_centers(
         np.array([[c] for c in SYSID_CENTER_SETS[cfg.sysid_centers]]))
-    bank = KernelBank(centers, GaussianParams(cfg.sigma), CosineParams())
+    bank = KernelBank(centers, GaussianParams(sigma), CosineParams())
     return signal.u.reshape(1, -1), signal.y_noisy, bank, signal
 
 
 def _run_single(cfg: ExperimentConfig, arch: str, run: int) -> dict:
-    """Run `run` of arch under the resolved cfg. Run 0 also keeps the
-    model-dependent artifacts (error surfaces, predicted-vs-actual trace)."""
+    """Run `run` of arch under cfg. Run 0 also keeps the model-dependent
+    artifacts (error surfaces, predicted-vs-actual trace)."""
     run_seed = cfg.seed + run
-    out: dict = {"arch": arch, "seed": run_seed}
+    out: dict = {}
     try:
         X, D, bank, test = _problem(cfg, run_seed)
         if cfg.task == "iris":
@@ -243,7 +248,7 @@ def mean_curve_name(task: str, arch: str) -> str:
     return f"{task}_{arch}_mean_curve.csv"
 
 
-def expected_artifacts(task: str, architectures: tuple[str, ...], runs: int) -> list[str]:
+def expected_artifacts(task: str, architectures: tuple[str, ...]) -> list[str]:
     """Artifact file names run_experiment promises for this configuration.
 
     Per-run curves exist only for completed (non-diverged) runs, so they are
@@ -360,7 +365,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     1 = every run of every architecture diverged. Invalid configurations raise
     InvalidConfigError (the CLI maps that to exit status 2).
     """
-    cfg = cfg.resolved()
     t0 = time.monotonic()
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -390,18 +394,16 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     written: list[str] = [MANIFEST_NAME]
 
-    def _emit(name: str, writer) -> None:
-        writer(os.path.join(cfg.out_dir, name))
+    def _path(name: str) -> str:
         written.append(name)
+        return os.path.join(cfg.out_dir, name)
 
     for arch in cfg.architectures:
         for run, res in completed[arch]:
-            _emit(curve_name(cfg.task, arch, run),
-                  lambda p, t=res["trace"]: write_trace_csv(t, p))
+            write_trace_csv(res["trace"], _path(curve_name(cfg.task, arch, run)))
         if completed[arch]:
-            results = [r for _, r in completed[arch]]
-            _emit(mean_curve_name(cfg.task, arch),
-                  lambda p, rs=results: write_trace_csv(_mean_curve_trace(rs), p))
+            write_trace_csv(_mean_curve_trace([r for _, r in completed[arch]]),
+                            _path(mean_curve_name(cfg.task, arch)))
 
     if cfg.task == "iris":
         per_arch = {a: [r for _, r in completed[a]] for a in cfg.architectures
@@ -412,54 +414,37 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                                    ("sensitivity", format_percent),
                                    ("specificity", format_percent),
                                    ("youden", format_youden)):
-                _emit(f"iris_{key}.csv",
-                      lambda p, rows=tables[key], f=formatter: write_metric_table(p, rows, f))
+                write_metric_table(_path(f"iris_{key}.csv"), tables[key], formatter)
     elif cfg.task == "funapprox":
         for arch in cfg.architectures:
             if not completed[arch]:
                 continue
             first = completed[arch][0][1]
             if "surfaces" in first:
-                _emit(f"funapprox_{arch}_train_surface.csv",
-                      lambda p, s=first["surfaces"]["train"]: _write_surface_csv(p, s))
-                _emit(f"funapprox_{arch}_test_surface.csv",
-                      lambda p, s=first["surfaces"]["test"]: _write_surface_csv(p, s))
-            errs = {run: r["test_errors"] for run, r in completed[arch]}
-            _emit(f"funapprox_{arch}_test_errors.csv",
-                  lambda p, e=errs: _write_test_errors_csv(p, e))
+                for split in ("train", "test"):
+                    _write_surface_csv(_path(f"funapprox_{arch}_{split}_surface.csv"),
+                                       first["surfaces"][split])
+            _write_test_errors_csv(_path(f"funapprox_{arch}_test_errors.csv"),
+                                   {run: r["test_errors"] for run, r in completed[arch]})
     else:
         for arch in cfg.architectures:
             if not completed[arch]:
                 continue
             first = completed[arch][0][1]
             if "trace_pairs" in first:
-                _emit(f"sysid_{arch}_trace.csv",
-                      lambda p, t=first["trace_pairs"]: _write_sysid_trace_csv(p, t))
+                _write_sysid_trace_csv(_path(f"sysid_{arch}_trace.csv"),
+                                       first["trace_pairs"])
 
     from . import __version__
-    manifest = {
-        "format": MANIFEST_FORMAT,
-        "version": __version__,
-        "task": cfg.task,
-        "architectures": list(cfg.architectures),
-        "runs": cfg.runs,
-        "seed": cfg.seed,
-        "run_seeds": [cfg.seed + r for r in range(cfg.runs)],
-        "epochs": cfg.epochs,
-        "eta": cfg.eta,
-        "sigma": cfg.sigma,
-        "shuffle": cfg.shuffle,
-        "init": cfg.init,
-        "init_scale": cfg.init_scale,
-        "alpha_eta": cfg.alpha_eta,
-        "jobs": cfg.jobs,
-        "funapprox_target": cfg.funapprox_target,
-        "sysid_centers": cfg.sysid_centers,
-        "divergences": divergences,
-        "divergence_count": sum(len(v) for v in divergences.values()),
-        "artifacts": sorted(written),
-        "wall_clock_sec": round(time.monotonic() - t0, 3),
-    }
+    manifest = {**asdict(cfg), **_fixed_settings(cfg),
+                "format": MANIFEST_FORMAT,
+                "version": __version__,
+                "run_seeds": [cfg.seed + r for r in range(cfg.runs)],
+                "divergences": divergences,
+                "divergence_count": sum(len(v) for v in divergences.values()),
+                "artifacts": sorted(written),
+                "wall_clock_sec": round(time.monotonic() - t0, 3)}
+    del manifest["out_dir"]
     with open(os.path.join(cfg.out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -470,7 +455,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
 def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
     """Rebuild the ExperimentConfig recorded in a manifest (out_dir is the
-    manifest's directory; rerunning it reproduces identical curve files)."""
+    manifest's directory; rerunning it reproduces identical curve files).
+
+    A missing key, a field that fails ExperimentConfig's checks, or a fixed
+    setting other than the one this version runs raises DataFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             m = json.load(fh)
@@ -482,16 +470,20 @@ def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
         raise DataFormatError(
             f"unexpected manifest format {m.get('format')!r}", path=str(path))
     try:
-        return ExperimentConfig(
-            task=m["task"], architectures=tuple(m["architectures"]), runs=m["runs"],
-            seed=m["seed"], out_dir=os.path.dirname(os.path.abspath(path)) or ".",
-            epochs=m["epochs"], eta=m["eta"], sigma=m["sigma"], shuffle=m["shuffle"],
-            init=m["init"], init_scale=m["init_scale"], alpha_eta=m["alpha_eta"],
-            jobs=m["jobs"], funapprox_target=m["funapprox_target"],
-            sysid_centers=m["sysid_centers"])
+        cfg = ExperimentConfig(
+            **{f.name: m[f.name] for f in fields(ExperimentConfig) if f.name != "out_dir"},
+            out_dir=os.path.dirname(os.path.abspath(path)) or ".")
+        for key, value in _fixed_settings(cfg).items():
+            if m[key] != value or type(m[key]) is not type(value):
+                raise DataFormatError(f"manifest records {key} {m[key]!r}, but this "
+                                      f"version runs {value!r}", path=str(path))
     except KeyError as exc:
         raise DataFormatError(f"manifest lacks the key {exc.args[0]!r}",
                               path=str(path)) from None
+    except InvalidConfigError as exc:
+        raise DataFormatError(f"manifest holds an invalid setting: {exc}",
+                              path=str(path)) from None
+    return cfg
 
 
 def _read_metric_table(path: str) -> list[dict]:
@@ -520,7 +512,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     if not os.path.isfile(manifest_path):
         raise MissingArtifactsError(results_dir, [MANIFEST_NAME])
     cfg = config_from_manifest(manifest_path)
-    missing = [name for name in expected_artifacts(cfg.task, cfg.architectures, cfg.runs)
+    missing = [name for name in expected_artifacts(cfg.task, cfg.architectures)
                if not os.path.isfile(os.path.join(results_dir, name))]
     if missing:
         raise MissingArtifactsError(results_dir, sorted(missing))
@@ -658,7 +650,7 @@ def bound_probe(task: str, seed: int = 0, eta: float | None = None,
     """Compute the stable-learning-rate bound 1/lambda_max for a task's
     default design and flag whether the task's learning rate respects it."""
     cfg = ExperimentConfig(task, funapprox_target=funapprox_target_name,
-                           sysid_centers=sysid_centers).resolved()
+                           sysid_centers=sysid_centers)
     X, _, bank, _ = _problem(cfg, seed)
     bound = learning_rate_bound(kernel_matrix(X, bank))
     eta_used = cfg.eta if eta is None else eta

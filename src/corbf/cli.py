@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (ARCHITECTURES, TASKS, ExperimentConfig, bound_probe,
-                    compare_report, run_experiment)
+from .bench import (ARCHITECTURES, SYSID_CENTER_SETS, TASKS, ExperimentConfig,
+                    bound_probe, compare_report, run_experiment)
 from .errors import CorbfError
-from .tasks import DEFAULT_FUNAPPROX_TARGET
+from .tasks import DEFAULT_FUNAPPROX_TARGET, FUNAPPROX_TARGETS
 
 # "custom" selects the alternative documented reading of the 2-D target (the
 # constant f(x) = 1 surface); the canonical task-level name is "constant-one".
-_FUNAPPROX_CHOICES = ("exp-x1sq-minus-x2sq", "custom", "constant-one")
+# It is listed right after the default target.
+_FUNAPPROX_CHOICES = FUNAPPROX_TARGETS[:1] + ("custom",) + FUNAPPROX_TARGETS[1:]
 
 
 def _parse_arch_list(text: str) -> tuple[str, ...]:
@@ -58,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=DEFAULT_FUNAPPROX_TARGET,
                      help="2-D target function; 'custom' is the constant "
                           "f(x)=1 alternative reading")
-    run.add_argument("--sysid-centers",
-                     choices=("symmetric", "repeated-endpoint"),
+    run.add_argument("--sysid-centers", choices=tuple(SYSID_CENTER_SETS),
                      default="symmetric",
                      help="center list for the identification task")
 

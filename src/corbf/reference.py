@@ -1,14 +1,13 @@
 """Published reference figures for the three benchmark tasks.
 
-These constants reproduce the originating study's reported tables and quoted
-decibel figures so that ``compare_report`` can juxtapose measured results
-against them. They are reporting targets, not oracles: the report prints them
-next to measured values with their descriptive citation strings and never uses
-them to alter a computation.
+These constants reproduce the originating study's reported iris accuracy
+table and quoted decibel figures so that ``compare_report`` can juxtapose
+measured results against them. They are reporting targets, not oracles: the
+report prints them next to measured values with their descriptive citation
+strings and never uses them to alter a computation.
 
-Conventions: accuracies, sensitivities and specificities are percentages;
-Youden indices are fractions; MSE figures are dB (10*log10 of linear MSE).
-Class columns follow the reported order (virginica, versicolor, setosa).
+Conventions: accuracies are percentages; MSE figures are dB (10*log10 of
+linear MSE).
 """
 
 from __future__ import annotations
@@ -24,80 +23,6 @@ REPORTED_IRIS_ACCURACY: dict[tuple[str, str], tuple[float, float]] = {
 }
 REPORTED_IRIS_ACCURACY_CITATION = (
     "reported mean classification accuracy (percent, 100-run protocol), iris benchmark"
-)
-
-# (mean, std) percent, keyed by (architecture, phase, class).
-REPORTED_IRIS_SENSITIVITY: dict[tuple[str, str, str], tuple[float, float]] = {
-    ("manual", "training", "virginica"): (97.10, 1.58),
-    ("manual", "training", "versicolor"): (96.03, 1.24),
-    ("manual", "training", "setosa"): (100.0, 0.00),
-    ("manual", "testing", "virginica"): (100.0, 0.00),
-    ("manual", "testing", "versicolor"): (100.0, 0.00),
-    ("manual", "testing", "setosa"): (91.00, 3.02),
-    ("adaptive", "training", "virginica"): (98.65, 1.644),
-    ("adaptive", "training", "versicolor"): (97.13, 2.11),
-    ("adaptive", "training", "setosa"): (100.0, 0.00),
-    ("adaptive", "testing", "virginica"): (100.0, 0.00),
-    ("adaptive", "testing", "versicolor"): (97.40, 13.83),
-    ("adaptive", "testing", "setosa"): (98.10, 3.94),
-    ("co", "training", "virginica"): (97.55, 0.35),
-    ("co", "training", "versicolor"): (97.50, 0.00),
-    ("co", "training", "setosa"): (100.0, 0.00),
-    ("co", "testing", "virginica"): (100.0, 0.00),
-    ("co", "testing", "versicolor"): (100.0, 0.00),
-    ("co", "testing", "setosa"): (97.40, 4.41),
-}
-REPORTED_IRIS_SENSITIVITY_CITATION = (
-    "reported mean per-class sensitivity (percent, 100-run protocol), iris benchmark"
-)
-
-REPORTED_IRIS_SPECIFICITY: dict[tuple[str, str, str], tuple[float, float]] = {
-    ("manual", "training", "virginica"): (98.01, 0.62),
-    ("manual", "training", "versicolor"): (98.55, 0.79),
-    ("manual", "training", "setosa"): (100.0, 0.00),
-    ("manual", "testing", "virginica"): (100.0, 0.00),
-    ("manual", "testing", "versicolor"): (95.50, 1.51),
-    ("manual", "testing", "setosa"): (100.0, 0.00),
-    ("adaptive", "training", "virginica"): (98.56, 1.06),
-    ("adaptive", "training", "versicolor"): (99.33, 0.82),
-    ("adaptive", "training", "setosa"): (100.0, 0.00),
-    ("adaptive", "testing", "virginica"): (98.70, 6.91),
-    ("adaptive", "testing", "versicolor"): (99.05, 1.97),
-    ("adaptive", "testing", "setosa"): (100.0, 0.00),
-    ("co", "training", "virginica"): (98.75, 0.00),
-    ("co", "training", "versicolor"): (98.78, 0.18),
-    ("co", "training", "setosa"): (100.0, 0.00),
-    ("co", "testing", "virginica"): (100.0, 0.00),
-    ("co", "testing", "versicolor"): (98.70, 2.20),
-    ("co", "testing", "setosa"): (100.0, 0.00),
-}
-REPORTED_IRIS_SPECIFICITY_CITATION = (
-    "reported mean per-class specificity (percent, 100-run protocol), iris benchmark"
-)
-
-# Youden index fractions, keyed by (architecture, phase, class); no stds reported.
-REPORTED_IRIS_YOUDEN: dict[tuple[str, str, str], float] = {
-    ("manual", "training", "virginica"): 0.9511,
-    ("manual", "training", "versicolor"): 0.9458,
-    ("manual", "training", "setosa"): 1.0000,
-    ("manual", "testing", "virginica"): 1.0000,
-    ("manual", "testing", "versicolor"): 0.9550,
-    ("manual", "testing", "setosa"): 0.9100,
-    ("adaptive", "training", "virginica"): 0.9721,
-    ("adaptive", "training", "versicolor"): 0.9646,
-    ("adaptive", "training", "setosa"): 1.0000,
-    ("adaptive", "testing", "virginica"): 0.9870,
-    ("adaptive", "testing", "versicolor"): 0.9745,
-    ("adaptive", "testing", "setosa"): 0.9810,
-    ("co", "training", "virginica"): 0.9630,
-    ("co", "training", "versicolor"): 0.9628,
-    ("co", "training", "setosa"): 1.0000,
-    ("co", "testing", "virginica"): 1.0000,
-    ("co", "testing", "versicolor"): 0.9870,
-    ("co", "testing", "setosa"): 0.9740,
-}
-REPORTED_IRIS_YOUDEN_CITATION = (
-    "reported mean per-class Youden index (fraction, 100-run protocol), iris benchmark"
 )
 
 # Training-MSE narrative figures (dB), iris benchmark.

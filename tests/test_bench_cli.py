@@ -51,12 +51,19 @@ class TestExperimentConfig:
         assert TASKS == ("iris", "funapprox", "sysid")
         assert ARCHITECTURES == ("manual", "adaptive", "co")
 
-    def test_resolved_fills_task_defaults(self):
-        cfg = ExperimentConfig(task="iris").resolved()
+    def test_construction_fills_task_defaults(self, tiny_iris, tmp_path):
+        cfg = ExperimentConfig(task="iris")
         assert cfg.epochs == 2000 and cfg.eta == 5e-3
-        assert cfg.sigma == 1.0 and cfg.shuffle is True
-        explicit = ExperimentConfig(task="iris", epochs=7, eta=0.1).resolved()
+        explicit = ExperimentConfig(task="iris", epochs=7, eta=0.1)
         assert explicit.epochs == 7 and explicit.eta == 0.1
+        # the Gaussian width and presentation order are not settings; the
+        # manifest records the ones the task fixes
+        sysid = ExperimentConfig(task="sysid", architectures=("co",), runs=1, epochs=1,
+                                 out_dir=str(tmp_path))
+        assert run_experiment(sysid) == 0
+        for out, sigma, shuffle in ((tiny_iris, 1.0, True), (tmp_path, 0.5, False)):
+            man = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+            assert (man["sigma"], man["shuffle"]) == (sigma, shuffle)
 
     def test_validation(self):
         bad = [dict(task="nope"),
@@ -68,10 +75,16 @@ class TestExperimentConfig:
                dict(epochs=0),
                dict(eta=0.0),
                dict(eta=-1.0),
-               dict(sigma=0.0),
-               dict(init="nope"),
+               dict(runs="2"),
+               dict(seed="0"),
+               dict(seed=-1),
+               dict(epochs=2.5),
+               dict(eta="0.1"),
+               dict(jobs=True),
+               dict(architectures=2),
                dict(funapprox_target="nope"),
-               dict(sysid_centers="nope")]
+               dict(sysid_centers="nope"),
+               dict(sysid_centers=["symmetric"])]
         for overrides in bad:
             kwargs = dict(task="iris")
             kwargs.update(overrides)
@@ -89,7 +102,7 @@ class TestExperimentConfig:
 
 class TestFunapproxArtifacts:
     def test_all_expected_artifacts_exist(self, tiny_funapprox):
-        for name in expected_artifacts("funapprox", ARCHITECTURES, 2):
+        for name in expected_artifacts("funapprox", ARCHITECTURES):
             assert (tiny_funapprox / name).is_file(), name
         for arch in ARCHITECTURES:
             for r in range(2):
@@ -105,7 +118,7 @@ class TestFunapproxArtifacts:
         assert man["run_seeds"] == [0, 1]
         assert man["divergence_count"] == 0
         assert man["artifacts"] == sorted(man["artifacts"])
-        for name in expected_artifacts("funapprox", ARCHITECTURES, 2):
+        for name in expected_artifacts("funapprox", ARCHITECTURES):
             assert name in man["artifacts"]
 
     def test_curve_rows_match_epochs(self, tiny_funapprox):
@@ -254,7 +267,19 @@ class TestCompareReportErrors:
         pytest.param(lambda m: {k: v for k, v in m.items() if k != "sysid_centers"},
                      "manifest lacks the key 'sysid_centers'", id="missing-key"),
         pytest.param(lambda m: [1, 2], "manifest is not a JSON object",
-                     id="not-an-object")])
+                     id="not-an-object"),
+        pytest.param(lambda m: {**m, "runs": "2"},
+                     "manifest holds an invalid setting: "
+                     "runs must be an integer >= 1, got '2'", id="runs-string"),
+        pytest.param(lambda m: {**m, "seed": "0"},
+                     "manifest holds an invalid setting: "
+                     "seed must be an integer >= 0, got '0'", id="seed-string"),
+        pytest.param(lambda m: {**m, "shuffle": "yes"},
+                     "manifest records shuffle 'yes', but this version runs False",
+                     id="shuffle-string"),
+        pytest.param(lambda m: {**m, "sigma": 0.7},
+                     "manifest records sigma 0.7, but this version runs 1.0",
+                     id="sigma-not-run")])
     def test_report_on_malformed_manifest_exits_2(self, tiny_funapprox, tmp_path,
                                                    capsys, edit, message):
         clone = tmp_path / "clone"
@@ -373,14 +398,18 @@ class TestDeterminism:
         assert run_experiment(cfg) == 0
         assert asked == [2]
 
-    def test_manifest_round_trip_reproduces_curves(self, tiny_funapprox, tmp_path):
-        cfg = config_from_manifest(tiny_funapprox / MANIFEST_NAME)
-        rerun = dataclasses.replace(cfg, out_dir=str(tmp_path))
-        assert run_experiment(rerun) == 0
-        for name in os.listdir(tiny_funapprox):
+    @pytest.mark.parametrize("task", TASKS)
+    def test_manifest_round_trip_reproduces_curves(self, task, tmp_path):
+        # iris is the one shuffled task: its rerun must shuffle too
+        first, rerun_dir = tmp_path / "first", tmp_path / "rerun"
+        assert run_experiment(ExperimentConfig(task=task, runs=2, epochs=3,
+                                               out_dir=str(first))) == 0
+        cfg = config_from_manifest(first / MANIFEST_NAME)
+        assert run_experiment(dataclasses.replace(cfg, out_dir=str(rerun_dir))) == 0
+        assert sorted(os.listdir(first)) == sorted(os.listdir(rerun_dir))
+        for name in os.listdir(first):
             if name != MANIFEST_NAME:
-                assert (tiny_funapprox / name).read_bytes() == \
-                    (tmp_path / name).read_bytes(), name
+                assert (first / name).read_bytes() == (rerun_dir / name).read_bytes(), name
 
 
 class TestBoundProbe:
