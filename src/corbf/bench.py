@@ -457,8 +457,14 @@ def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
     """Rebuild the ExperimentConfig recorded in a manifest (out_dir is the
     manifest's directory; rerunning it reproduces identical curve files).
 
-    A missing key, a field that fails ExperimentConfig's checks, or a fixed
-    setting other than the one this version runs raises DataFormatError."""
+    A missing key, a field that fails ExperimentConfig's checks, a fixed
+    setting other than the one this version runs, or a divergence_count that
+    does not count the divergences recorded raises DataFormatError."""
+    return _read_manifest(path)[0]
+
+
+def _read_manifest(path: str | os.PathLike) -> tuple[ExperimentConfig, int]:
+    """config_from_manifest's config and the manifest's divergence_count."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             m = json.load(fh)
@@ -477,13 +483,19 @@ def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
             if m[key] != value or type(m[key]) is not type(value):
                 raise DataFormatError(f"manifest records {key} {m[key]!r}, but this "
                                       f"version runs {value!r}", path=str(path))
+        count, records = m["divergence_count"], m["divergences"]
+        n = (sum(map(len, records.values())) if isinstance(records, dict) and all(
+            isinstance(v, list) for v in records.values()) else "malformed")
+        if type(count) is not int or count != n:
+            raise DataFormatError(f"manifest records divergence_count {count!r} for "
+                                  f"{n} divergence records", path=str(path))
     except KeyError as exc:
         raise DataFormatError(f"manifest lacks the key {exc.args[0]!r}",
                               path=str(path)) from None
     except InvalidConfigError as exc:
         raise DataFormatError(f"manifest holds an invalid setting: {exc}",
                               path=str(path)) from None
-    return cfg
+    return cfg, count
 
 
 def _read_metric_table(path: str) -> list[dict]:
@@ -511,7 +523,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     manifest_path = os.path.join(results_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise MissingArtifactsError(results_dir, [MANIFEST_NAME])
-    cfg = config_from_manifest(manifest_path)
+    cfg, div_count = _read_manifest(manifest_path)
     missing = [name for name in expected_artifacts(cfg.task, cfg.architectures)
                if not os.path.isfile(os.path.join(results_dir, name))]
     if missing:
@@ -638,8 +650,6 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     if checks:
         lines += ["", "acceptance checks:"]
         lines += [f"  {c}" for c in checks]
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        div_count = json.load(fh).get("divergence_count", 0)
     lines += ["", f"diverged runs: {div_count}"]
     return "\n".join(lines) + "\n"
 

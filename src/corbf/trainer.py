@@ -13,13 +13,15 @@ instantaneous error of the block, then one product applies all of its
 increments. Adaptive fusion multiplies the weights by trainable
 coefficients, so it stays sample by sample, one head after another. Its
 steps read the weights only through the sample's Gaussian and cosine
-projections: one product gives them at the block's starting weights, each
-step adds the block's Gram-matrix rows times the increments made so far in
-the block, and one product applies those increments at its end. Both match
-repeated sgd_step calls up to rounding.
+projections: the block's Gram matrix Z Z^T carries the projections Z w at
+its starting weights as a spare column, so one product of two of its rows
+with the increments made so far in the block (and a trailing 1) gives a
+step's pair, and one product applies the increments at the block's end.
+Both match repeated sgd_step calls up to rounding.
 
-After each epoch fit writes the trained state into the model and evaluates
-every mode the same way, as theta . phi (model._theta).
+fit trains rows of parameters, one per head, and evaluates theta . phi from
+them after each epoch, in model._theta's layout. It writes the heads once,
+after the last epoch or, on divergence, from the last completed one.
 
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
 autocorrelation matrix.
@@ -225,12 +227,16 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
 
     P2[s] holds sample s's Gaussian and cosine rows. Returns idx, the block's
     stacked rows Z (row 2i is sample i's Gaussian row, 2i + 1 its cosine row),
-    the rows of its Gram matrix Z Z^T in pairs (one (2, 2n) view per sample)
-    and the targets as lists, one per head.
+    A = [Z Z^T | r], its Gram matrix with one spare last column r, the rows
+    of A in pairs (one (2, 2n + 1) view per sample) and the targets as lists,
+    one per head. The loop writes a head's projections Z w into r; then for
+    the block's increments so far followed by 1.0, each pair of rows of A
+    gives that sample's projections in one product.
     """
     Z = P2[idx].reshape(2 * len(idx), -1)
-    G = Z @ Z.T
-    return idx, Z, list(G.reshape(len(idx), 2, -1)), Dmat[:, idx].tolist()
+    A = np.empty((len(Z), len(Z) + 1))
+    np.matmul(Z, Z.T, out=A[:, :-1])
+    return idx, Z, A, list(A.reshape(len(idx), 2, -1)), Dmat[:, idx].tolist()
 
 
 def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
@@ -338,14 +344,14 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     sample that fails, with the 1-based epoch and the 1-based training-set
     index (column of X) of that sample; for several heads the error value is
     the failing sample's error of largest magnitude. The model then holds the
-    parameters of the last completed epoch.
+    parameters of the last completed epoch; a failure in epoch 1 leaves it as it was.
 
+    fit trains one row of parameters per head and writes the heads at the end.
     One scalar loop trains each adaptive head in turn over the epoch's order
-    (heads share only the design, the order and each block's Gram matrix,
+    (heads share only the design, the order and each block's [Z Z^T | Z w],
     built once per fit in dataset order and once per epoch under shuffle);
     the block engine trains all fixed or co heads at once. Fixed and adaptive
-    fusion need a Gaussian and a cosine kernel in the bank (InvalidModelError);
-    co takes any kernel_order.
+    fusion need a Gaussian and a cosine kernel (InvalidModelError); co does not.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -354,17 +360,15 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if S == 0:
         raise EmptyInputError("fit needs at least one training sample")
     heads = model.heads if isinstance(model, MultiHeadRbfModel) else [model]
-    bank = heads[0].bank
-    mode = heads[0].mode
-    for h in heads[1:]:
-        if type(h.mode) is not type(mode):
-            raise InvalidModelError("all heads must use the same fusion mode")
-    if isinstance(mode, FixedFusion):
-        for h in heads[1:]:
-            if (h.mode.alpha_gaussian, h.mode.alpha_cosine) != (
-                mode.alpha_gaussian, mode.alpha_cosine
-            ):
-                raise InvalidModelError("fixed-fusion heads must share coefficients")
+    bank, mode = heads[0].bank, heads[0].mode
+    if any(type(h.mode) is not type(mode) for h in heads):
+        raise InvalidModelError("all heads must use the same fusion mode")
+    co, adaptive = isinstance(mode, CoFusion), isinstance(mode, AdaptiveFusion)
+    # each head's mixing coefficients (Gaussian, cosine); co has none
+    alphas = np.array([[] if co else [h.mode.alpha_gaussian, h.mode.alpha_cosine]
+                       for h in heads], dtype=np.float64)
+    if isinstance(mode, FixedFusion) and np.any(alphas != alphas[0]):
+        raise InvalidModelError("fixed-fusion heads must share coefficients")
     Dmat, labels = _targets_matrix(model, D)
     if Dmat.shape[1] != S:
         raise DimensionMismatchError("targets vs samples", S, Dmat.shape[1])
@@ -380,38 +384,31 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         eval_phi = kernel_matrix(np.asarray(X_eval, dtype=np.float64), bank)
         eval_labels = np.asarray(d_eval).astype(np.int64)
 
-    ss = np.random.SeedSequence(cfg.seed)
-    init_ss, shuffle_ss = ss.spawn(2)
-    rng_init = np.random.default_rng(init_ss)
-    rng_shuffle = np.random.default_rng(shuffle_ss)
+    rng_init, rng_shuffle = map(np.random.default_rng,
+                                np.random.SeedSequence(cfg.seed).spawn(2))
 
-    eta = cfg.eta
-    a_eta = cfg.effective_alpha_eta
-    mse_lin: list[float] = []
-    train_acc: list[float] = []
-    test_acc: list[float] = []
+    eta, a_eta = cfg.eta, cfg.effective_alpha_eta
+    mse_lin, train_acc, test_acc = [], [], []
+    truth = None if not classification else (
+        labels if labels is not None else np.argmax(Dmat, axis=0))
 
-    truth = None
-    if classification:
-        truth = labels if labels is not None else np.argmax(Dmat, axis=0)
-
-    co = isinstance(mode, CoFusion)
-    adaptive = isinstance(mode, AdaptiveFusion)
+    # the trained rows, one per head: theta for co, [b, w] otherwise
+    Q = bank.vector_len if co else 1 + K
+    W = np.array([(_theta(h) if co else np.concatenate(([h.bias], h.weights)))
+                  if cfg.init == "keep" else _draw_init(rng_init, cfg, Q) for h in heads])
     if co:
         DS = np.ascontiguousarray(Phi.T)
     else:
         Pg, Pc = _gaussian_cosine(Phi[1:].reshape(L, K, S), bank)
+        # theta's kernel blocks, alpha_l * w, follow bank.kernel_order
+        mix = [("gaussian", "cosine").index(name) for name in bank.kernel_order]
         if adaptive:
             P2 = np.stack((Pg.T, Pc.T), axis=1)
-            alphas = [(h.mode.alpha_gaussian, h.mode.alpha_cosine) for h in heads]
+            q = np.empty(2)
         else:
             DS = np.empty((S, 1 + K))
             DS[:, 0] = 1.0
             DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
-    # the trained state, heads as rows: theta for co, [b, w] otherwise
-    Q = bank.vector_len if co else 1 + K
-    W = np.array([(_theta(h) if co else np.concatenate(([h.bias], h.weights)))
-                  if cfg.init == "keep" else _draw_init(rng_init, cfg, Q) for h in heads])
     if adaptive:
         # in dataset order every epoch presents the same blocks: build them once
         fixed_blocks = None if cfg.shuffle else [
@@ -425,71 +422,79 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
              np.linalg.inv(_error_system(DS[idx], eta)) if stable else None)
             for idx in _block_indices(np.arange(S))]
 
-    for t in range(cfg.epochs):
-        order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
-        if adaptive:
-            blocks = fixed_blocks or [_gram_block(P2, Dmat, idx)
-                                      for idx in _block_indices(order)]
-            # heads share only the design, the order and the blocks: each
-            # trains alone
-            failed: list[DivergenceError] = []
-            for c in range(len(heads)):
-                w, b, (ag, ac) = W[c, 1:], float(W[c, 0]), alphas[c]
-                try:
-                    for idx, Z, G_rows, targets in blocks:
-                        # within the block w moves only by inc @ Z, so sample
-                        # i's projections w . Z[2i:2i+2] are r[2i:2i+2] + G inc
-                        r = (Z @ w).tolist()
-                        inc = np.zeros(len(r))
-                        for j, G_j, d in zip(range(0, len(r), 2), G_rows, targets[c]):
-                            qg, qc = np.dot(G_j, inc).tolist()
-                            sg = r[j] + qg
-                            sc = r[j + 1] + qc
-                            e = d - (ag * sg + ac * sc + b)
-                            if not (abs(e) <= DIVERGENCE_LIMIT):
-                                raise DivergenceError(t + 1, int(idx[j // 2]) + 1, e)
-                            step = eta * e
-                            inc[j] = step * ag
-                            inc[j + 1] = step * ac
-                            b += step
-                            ag += a_eta * e * sg
-                            ac += a_eta * e * sc
-                        w += inc @ Z
-                except DivergenceError as exc:
-                    failed.append(exc)
-                W[c, 0], alphas[c] = b, (ag, ac)
-            if failed:
-                raise _first_failure(failed, order)
-        else:
-            for idx, A, D_block, Minv in fixed_blocks or [
-                    (idx, DS[idx], Drows[idx], None) for idx in _block_indices(order)]:
-                _block_step(W, A, D_block, eta, Minv, stable, t + 1, idx)
+    def write_heads(W: np.ndarray, alphas: np.ndarray) -> None:
         for c, h in enumerate(heads):
             h.bias = float(W[c, 0])
             h.weights = W[c, 1:].reshape((L, K)).T.copy() if co else W[c, 1:].copy()
             if adaptive:
-                h.mode.alpha_gaussian, h.mode.alpha_cosine = map(float, alphas[c])
-        # the heads hold the epoch's trained state; every mode is theta . phi
-        Theta = np.array([_theta(h) for h in heads])
-        Y = Theta @ Phi
-        err = Dmat - Y
-        mse_lin.append(float(np.mean(err * err)))
-        if classification:
-            train_acc.append(float(np.mean(np.argmax(Y, axis=0) == truth)))
-        if eval_phi is not None:
-            preds = np.argmax(Theta @ eval_phi, axis=0)
-            test_acc.append(float(np.mean(preds == eval_labels)))
+                h.mode.alpha_gaussian, h.mode.alpha_cosine = alphas[c].tolist()
 
-    mse_arr = np.array(mse_lin)
-    trace = TrainTrace(
+    done = None  # W and alphas after the last completed epoch
+    try:
+        for t in range(cfg.epochs):
+            order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
+            if adaptive:
+                blocks = fixed_blocks or [_gram_block(P2, Dmat, idx)
+                                          for idx in _block_indices(order)]
+                # heads share only the design, the order and the blocks: each
+                # trains alone
+                failed: list[DivergenceError] = []
+                for c in range(len(heads)):
+                    w, b, (ag, ac) = W[c, 1:], float(W[c, 0]), alphas[c].tolist()
+                    try:
+                        for idx, Z, A, A_rows, targets in blocks:
+                            # w moves only by inc @ Z here, so sample i's projections
+                            # are rows 2i, 2i + 1 of [Z Z^T | Z w] times [inc, 1]
+                            A[:, -1] = Z @ w
+                            inc = np.zeros(len(Z) + 1)
+                            inc[-1] = 1.0
+                            for j, A_j, d in zip(range(0, len(Z), 2), A_rows, targets[c]):
+                                sg, sc = A_j.dot(inc, q).tolist()
+                                e = d - (ag * sg + ac * sc + b)
+                                if not (abs(e) <= DIVERGENCE_LIMIT):
+                                    raise DivergenceError(t + 1, int(idx[j // 2]) + 1, e)
+                                step = eta * e
+                                inc[j] = step * ag
+                                inc[j + 1] = step * ac
+                                b += step
+                                ag += a_eta * e * sg
+                                ac += a_eta * e * sc
+                            w += inc[:-1] @ Z
+                    except DivergenceError as exc:
+                        failed.append(exc)
+                    W[c, 0], alphas[c] = b, (ag, ac)
+                if failed:
+                    raise _first_failure(failed, order)
+            else:
+                for idx, A, D_block, Minv in fixed_blocks or [
+                        (idx, DS[idx], Drows[idx], None) for idx in _block_indices(order)]:
+                    _block_step(W, A, D_block, eta, Minv, stable, t + 1, idx)
+            done = W.copy(), alphas.copy()
+            # theta . phi from the trained rows, as model._theta lays it out
+            Theta = W if co else np.concatenate(
+                (W[:, :1], (alphas[:, mix, None] * W[:, None, 1:]).reshape(len(W), -1)),
+                axis=1)
+            Y = Theta @ Phi
+            err = Dmat - Y
+            # np.mean's own arithmetic, without its Python wrapper
+            mse_lin.append(float(np.add.reduce(err * err, axis=None) / err.size))
+            if classification:
+                train_acc.append(float(np.mean(np.argmax(Y, axis=0) == truth)))
+            if eval_phi is not None:
+                preds = np.argmax(Theta @ eval_phi, axis=0)
+                test_acc.append(float(np.mean(preds == eval_labels)))
+    except DivergenceError:
+        if done is not None:
+            write_heads(*done)
+        raise
+    write_heads(W, alphas)
+    return TrainTrace(
         epochs=np.arange(1, cfg.epochs + 1, dtype=np.int64),
-        mse_linear=mse_arr,
+        mse_linear=np.array(mse_lin),
         mse_db=np.array([mse_db_from_linear(v) for v in mse_lin]),
         train_acc=np.array(train_acc) if classification else None,
         test_acc=np.array(test_acc) if (classification and eval_phi is not None) else None,
-        final_model=model.copy(),
-    )
-    return trace
+        final_model=model.copy())
 
 
 def learning_rate_bound(Phi: np.ndarray) -> float:

@@ -279,7 +279,13 @@ class TestCompareReportErrors:
                      id="shuffle-string"),
         pytest.param(lambda m: {**m, "sigma": 0.7},
                      "manifest records sigma 0.7, but this version runs 1.0",
-                     id="sigma-not-run")])
+                     id="sigma-not-run"),
+        pytest.param(lambda m: {**m, "divergence_count": "many"},
+                     "manifest records divergence_count 'many' for 0 divergence records",
+                     id="divergence-count-string"),
+        pytest.param(lambda m: {**m, "divergence_count": 1},
+                     "manifest records divergence_count 1 for 0 divergence records",
+                     id="divergence-count-disagrees")])
     def test_report_on_malformed_manifest_exits_2(self, tiny_funapprox, tmp_path,
                                                    capsys, edit, message):
         clone = tmp_path / "clone"

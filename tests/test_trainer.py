@@ -240,7 +240,8 @@ FIT_MODES = {"fixed": lambda: FixedFusion(0.3, 0.7), "co": CoFusion,
              "adaptive": lambda: AdaptiveFusion(0.3, 0.7)}
 
 
-def fit_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0):
+def fit_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0,
+                kernel_order=("gaussian", "cosine")):
     """A random model of the named fusion mode with S samples and real targets.
 
     eta is frac / max ||phi_s||^2 over the co design, which also bounds the
@@ -248,7 +249,8 @@ def fit_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0):
     """
     rng = np.random.default_rng(seed)
     bank = KernelBank(rng.normal(size=(a, K)),
-                      GaussianParams(float(rng.uniform(0.5, 2.0))), CosineParams())
+                      GaussianParams(float(rng.uniform(0.5, 2.0))), CosineParams(),
+                      kernel_order=kernel_order)
     X = rng.normal(size=(a, S))
     phi = kernel_matrix(X, bank)
     eta = frac / float(np.max(np.sum(phi * phi, axis=0)))
@@ -388,6 +390,31 @@ class TestBlockEngine:
         for one, head in zip(alone, together):
             np.testing.assert_array_equal(head_params(head), head_params(one))
 
+    # (seed, frac) per mode, or per (mode, heads, shuffle), for which fit
+    # first fails in epoch 2 to 4
+    DIVERGING = {"co": (61, 4.0), "fixed": (61, 6.0),
+                 ("adaptive", 1, False): (66, 2.4), ("adaptive", 1, True): (66, 2.3),
+                 ("adaptive", 3, False): (61, 1.9), ("adaptive", 3, True): (61, 1.9)}
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_divergence_leaves_the_last_completed_epoch(self, mode, n_heads, shuffle):
+        # after a failure in epoch k the model holds, bit for bit, what a
+        # (k - 1)-epoch fit of the same start leaves
+        seed, frac = self.DIVERGING.get(mode) or self.DIVERGING[mode, n_heads, shuffle]
+        model, X, D, eta = fit_problem(mode, n_heads, 2 * BLOCK_SIZE + 44, frac=frac,
+                                       seed=seed)
+        start = model.copy()
+        cfg = TrainConfig(eta=eta, epochs=5, seed=3, shuffle=shuffle, init="keep")
+        with pytest.raises(DivergenceError) as exc:
+            fit(model, X, D, cfg)
+        k = exc.value.epoch
+        assert 2 <= k <= 4
+        done = fit(start, X, D, TrainConfig(eta=eta, epochs=k - 1, seed=3,
+                                            shuffle=shuffle, init="keep"))
+        np.testing.assert_array_equal(head_params(model), head_params(done.final_model))
+
     def test_import_and_fit_load_no_scipy(self):
         # scipy's import alone would cost a fresh process 0.2-0.4 s, and the
         # package declares numpy as its only dependency
@@ -431,6 +458,30 @@ class TestOneKernelBank:
             fit(model, X, D, TrainConfig(eta=0.05, epochs=1))
         with pytest.raises(InvalidModelError):
             sgd_step(model, X[:, 0], float(D[0]), eta=0.05)
+
+
+class TestKernelOrder:
+    """A bank whose kernel_order puts the cosine kernel first: the design
+    rows, the mixed rows of fixed and adaptive fusion and every head's theta
+    follow that order."""
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive", "co"])
+    def test_cosine_first_matches_sequential_steps(self, mode, n_heads):
+        model, X, D, eta = fit_problem(mode, n_heads, BLOCK_SIZE + 30, seed=67,
+                                       kernel_order=("cosine", "gaussian"))
+        assert_fit_matches_replay(model, X, D, TrainConfig(
+            eta=eta, epochs=3, seed=2, shuffle=True, alpha_eta=0.5 * eta))
+
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive", "co"])
+    def test_cosine_first_epoch_mse_is_the_models_forward_mse(self, mode):
+        model, X, D, eta = fit_problem(mode, 3, BLOCK_SIZE + 30, seed=68,
+                                       kernel_order=("cosine", "gaussian"))
+        mse = fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=3)).mse_linear
+        for epochs in (1, 2, 3):
+            final = fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs)).final_model
+            Y = np.array([forward_batch(h, X) for h in final.heads])
+            np.testing.assert_allclose(mse[epochs - 1], np.mean((D - Y) ** 2), rtol=1e-12)
 
 
 class TestTrainConfig:
