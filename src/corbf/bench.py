@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -140,12 +139,10 @@ def _iris_bank(X_train: np.ndarray, sigma: float) -> KernelBank:
 
 
 def _single_head(bank: KernelBank, arch: str) -> RbfModel:
-    K, L = bank.n_centers, bank.n_kernels
-    if arch == "manual":
-        return RbfModel(bank, FixedFusion(0.5, 0.5), np.zeros(K))
-    if arch == "adaptive":
-        return RbfModel(bank, AdaptiveFusion(0.5, 0.5), np.zeros(K))
-    return RbfModel(bank, CoFusion(), np.zeros((K, L)))
+    if arch == "co":
+        return RbfModel(bank, CoFusion(), np.zeros((bank.n_centers, bank.n_kernels)))
+    mode = FixedFusion if arch == "manual" else AdaptiveFusion
+    return RbfModel(bank, mode(0.5, 0.5), np.zeros(bank.n_centers))
 
 
 def _multi_head(bank: KernelBank, arch: str, labels: tuple) -> MultiHeadRbfModel:
@@ -358,6 +355,12 @@ def _iris_metric_rows(per_arch: dict[str, list[dict]]) -> dict[str, list[tuple]]
     return tables
 
 
+def ProcessPoolExecutor(max_workers: int):
+    # imported here, not with corbf: only --jobs > 1 needs a pool
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run the experiment, write artifacts into cfg.out_dir, return exit status.
 
@@ -415,22 +418,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                                    ("specificity", format_percent),
                                    ("youden", format_youden)):
                 write_metric_table(_path(f"iris_{key}.csv"), tables[key], formatter)
-    elif cfg.task == "funapprox":
-        for arch in cfg.architectures:
-            if not completed[arch]:
-                continue
+    else:
+        # run 0's surfaces or trace, if it completed, and funapprox's test errors
+        for arch in (a for a in cfg.architectures if completed[a]):
             first = completed[arch][0][1]
             if "surfaces" in first:
                 for split in ("train", "test"):
                     _write_surface_csv(_path(f"funapprox_{arch}_{split}_surface.csv"),
                                        first["surfaces"][split])
-            _write_test_errors_csv(_path(f"funapprox_{arch}_test_errors.csv"),
-                                   {run: r["test_errors"] for run, r in completed[arch]})
-    else:
-        for arch in cfg.architectures:
-            if not completed[arch]:
-                continue
-            first = completed[arch][0][1]
+            if cfg.task == "funapprox":
+                _write_test_errors_csv(_path(f"funapprox_{arch}_test_errors.csv"),
+                                       {run: r["test_errors"] for run, r in completed[arch]})
             if "trace_pairs" in first:
                 _write_sysid_trace_csv(_path(f"sysid_{arch}_trace.csv"),
                                        first["trace_pairs"])

@@ -123,14 +123,6 @@ class RbfModel:
         self.weights = weights
         self.bias = float(self.bias)
 
-    @property
-    def n_params(self) -> int:
-        """Count of trainable scalars, including bias and adaptive coefficients."""
-        n = self.weights.size + 1
-        if isinstance(self.mode, AdaptiveFusion):
-            n += 2
-        return n
-
     def copy(self) -> "RbfModel":
         mode = self.mode
         if isinstance(mode, AdaptiveFusion):
@@ -234,9 +226,6 @@ class MultiHeadRbfModel:
         if X.ndim != 2:
             raise DimensionMismatchError("forward_batch samples", 2, X.ndim)
         return _outputs(self.heads, kernel_matrix(X, self.bank))
-
-    def decide(self, x: np.ndarray) -> int:
-        return multiclass_decision(self.forward(x))
 
     def decide_batch(self, X: np.ndarray) -> np.ndarray:
         # argmax returns the first maximum: ties go to the lowest index
@@ -379,23 +368,19 @@ class Scenario4Center:
 
 
 def _mode_to_dict(mode: FusionMode) -> dict:
-    if isinstance(mode, FixedFusion):
-        return {"kind": "fixed", "alpha_gaussian": mode.alpha_gaussian,
-                "alpha_cosine": mode.alpha_cosine}
-    if isinstance(mode, AdaptiveFusion):
-        return {"kind": "adaptive", "alpha_gaussian": mode.alpha_gaussian,
-                "alpha_cosine": mode.alpha_cosine}
-    return {"kind": "co"}
+    if isinstance(mode, CoFusion):
+        return {"kind": "co"}
+    return {"kind": "fixed" if isinstance(mode, FixedFusion) else "adaptive",
+            "alpha_gaussian": mode.alpha_gaussian, "alpha_cosine": mode.alpha_cosine}
 
 
 def _mode_from_dict(d: dict) -> FusionMode:
     kind = d.get("kind")
-    if kind == "fixed":
-        return FixedFusion(d["alpha_gaussian"], d["alpha_cosine"])
-    if kind == "adaptive":
-        return AdaptiveFusion(d["alpha_gaussian"], d["alpha_cosine"])
     if kind == "co":
         return CoFusion()
+    if kind in ("fixed", "adaptive"):
+        mode = FixedFusion if kind == "fixed" else AdaptiveFusion
+        return mode(d["alpha_gaussian"], d["alpha_cosine"])
     raise DataFormatError(f"unknown fusion kind {kind!r}")
 
 

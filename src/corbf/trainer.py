@@ -6,18 +6,20 @@ increment from the pre-update parameter values. Epoch statistics (MSE over the
 full training set, accuracies for classification) are computed after each
 epoch finishes, never from the running instantaneous errors.
 
-sgd_step is the sequential reference. fit presents each epoch in blocks of
-up to BLOCK_SIZE samples. Fixed and co fusion are linear in their weights, so
-fit runs them as exact blocks: one triangular solve yields every
-instantaneous error of the block, then one product applies all of its
-increments. Adaptive fusion multiplies the weights by trainable
-coefficients, so it stays sample by sample, one head after another. Its
-steps read the weights only through the sample's Gaussian and cosine
-projections: the block's Gram matrix Z Z^T carries the projections Z w at
-its starting weights as a spare column, so one product of two of its rows
-with the increments made so far in the block (and a trailing 1) gives a
-step's pair, and one product applies the increments at the block's end.
-Both match repeated sgd_step calls up to rounding.
+sgd_step is the sequential reference. Fixed and co fusion are linear in their
+weights, so fit runs them as exact blocks of up to BLOCK_SIZE samples: one
+triangular solve yields every instantaneous error of a block, then one
+product applies all of its increments. In dataset order with stable steps an
+epoch's errors are affine in its starting rows W, E = F - J W^T, so one
+epoch of blocks from zero rows on the targets [D | DS] (DS the design) gives
+[F | J] once per fit and each epoch is two products. Adaptive fusion
+multiplies the weights by trainable coefficients, so it stays sample by
+sample, one head after another. Its steps read the weights only through the
+sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
+carries the projections Z w at its starting weights as a spare column, so one
+product of two of its rows with the increments made so far in the block (and
+a trailing 1) gives a step's pair, and one product applies the increments at
+the block's end. All of them match repeated sgd_step calls up to rounding.
 
 fit trains rows of parameters, one per head, and evaluates theta . phi from
 them after each epoch, in model._theta's layout. It writes the heads once,
@@ -58,10 +60,10 @@ from .model import (
 DIVERGENCE_LIMIT = 1e12
 
 # Samples per block of the linear-mode engine and of the adaptive loop. The
-# B x B error system of a block is built (shuffle) or inverted (fixed order)
-# whole, and so is the adaptive loop's 2B x 2B Gram matrix (512 KiB), so this
-# caps their memory: inverting sysid's 400-sample epoch as one block raised
-# the benchmark's peak RSS by 16%, blocks of 128 by 2%.
+# B x B error system of a block is built and solved whole, and so is the
+# adaptive loop's 2B x 2B Gram matrix (512 KiB), so this caps their memory:
+# inverting sysid's 400-sample epoch as one block raised the benchmark's peak
+# RSS by 16%, blocks of 128 by 2%.
 BLOCK_SIZE = 128
 
 INIT_KINDS = ("uniform", "zeros", "keep")
@@ -190,14 +192,13 @@ def _error_system(A: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _block_step(W: np.ndarray, A: np.ndarray, D: np.ndarray, eta: float,
-                Minv: np.ndarray | None, stable: bool, epoch: int,
-                idx: np.ndarray) -> None:
+                stable: bool, epoch: int, idx: np.ndarray) -> None:
     """Present the design rows A (targets D, training-set indices idx) in order.
 
     Updates W (heads as rows) in place as one sgd_step per row and head would,
-    up to rounding: solve the block's error system (through Minv, its
-    precomputed inverse, when given), then add the summed increments
-    eta * E^T A. Divergence raises at the first failing sample, as sgd_step.
+    up to rounding: solve the block's error system, then add the summed
+    increments eta * E^T A. Divergence raises at the first failing sample, as
+    sgd_step.
 
     stable says that no step expands the error (eta * ||row||^2 <= 2 for every
     row), which bounds every entry of the inverse by 2. Otherwise its entries
@@ -207,11 +208,11 @@ def _block_step(W: np.ndarray, A: np.ndarray, D: np.ndarray, eta: float,
     """
     R = D - A @ W.T
     if stable:
-        E = np.linalg.solve(_error_system(A, eta), R) if Minv is None else Minv @ R
+        E = np.linalg.solve(_error_system(A, eta), R)
     if not stable or not (np.abs(E).max() <= DIVERGENCE_LIMIT):
-        # A pivoted solve or an overflowed inverse can also spoil the errors
-        # before a divergence. Forward substitution cannot: error i reads only
-        # the errors presented before it.
+        # A pivoted solve can also spoil the errors before a divergence.
+        # Forward substitution cannot: error i reads only the errors
+        # presented before it.
         T = _error_system(A, eta)
         E = np.empty_like(R)
         for i in range(len(R)):
@@ -220,6 +221,20 @@ def _block_step(W: np.ndarray, A: np.ndarray, D: np.ndarray, eta: float,
                 raise DivergenceError(epoch, int(idx[i]) + 1,
                                       float(E[i, np.argmax(np.abs(E[i]))]))
     W += (eta * E).T @ A
+
+
+def _epoch_operator(DS: np.ndarray, Drows: np.ndarray, eta: float) -> list:
+    """[F, J] for a stable epoch in dataset order over the design rows DS: from
+    rows W it makes the errors F - J W^T (samples by heads), those of an epoch
+    from zero rows on the targets Drows - DS W^T. Solved as in _block_step but
+    unchecked: a bad entry instead fails each epoch's check of F - J W^T."""
+    FJ = np.concatenate((Drows, DS), axis=1)
+    V = np.zeros((FJ.shape[1], DS.shape[1]))
+    for idx in _block_indices(np.arange(len(DS))):
+        A = DS[idx]
+        FJ[idx] = np.linalg.solve(_error_system(A, eta), FJ[idx] - A @ V.T)
+        V += (eta * FJ[idx]).T @ A
+    return np.split(FJ, [Drows.shape[1]], axis=1)
 
 
 def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
@@ -402,25 +417,21 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         Pg, Pc = _gaussian_cosine(Phi[1:].reshape(L, K, S), bank)
         # theta's kernel blocks, alpha_l * w, follow bank.kernel_order
         mix = [("gaussian", "cosine").index(name) for name in bank.kernel_order]
-        if adaptive:
-            P2 = np.stack((Pg.T, Pc.T), axis=1)
-            q = np.empty(2)
-        else:
+        if not adaptive:
             DS = np.empty((S, 1 + K))
             DS[:, 0] = 1.0
             DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
     if adaptive:
+        P2 = np.stack((Pg.T, Pc.T), axis=1)
+        q = np.empty(2)
         # in dataset order every epoch presents the same blocks: build them once
         fixed_blocks = None if cfg.shuffle else [
             _gram_block(P2, Dmat, idx) for idx in _block_indices(np.arange(S))]
     else:
         # fixed and co fusion reduce to linear SGD on a precomputed design
         stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
-        # in dataset order every epoch presents the same blocks: invert once
-        fixed_blocks = None if cfg.shuffle else [
-            (idx, DS[idx], Drows[idx],
-             np.linalg.inv(_error_system(DS[idx], eta)) if stable else None)
-            for idx in _block_indices(np.arange(S))]
+        # in dataset order a stable epoch's errors are affine in its rows
+        F, J = _epoch_operator(DS, Drows, eta) if stable and not cfg.shuffle else (None, None)
 
     def write_heads(W: np.ndarray, alphas: np.ndarray) -> None:
         for c, h in enumerate(heads):
@@ -466,9 +477,14 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                 if failed:
                     raise _first_failure(failed, order)
             else:
-                for idx, A, D_block, Minv in fixed_blocks or [
-                        (idx, DS[idx], Drows[idx], None) for idx in _block_indices(order)]:
-                    _block_step(W, A, D_block, eta, Minv, stable, t + 1, idx)
+                E = None if F is None else F - J @ W.T
+                if E is not None and np.abs(E).max() <= DIVERGENCE_LIMIT:
+                    W += (eta * E).T @ DS
+                else:
+                    # by blocks; an epoch failing E's check replays from its
+                    # starting rows and raises at its first failing sample
+                    for idx in _block_indices(order):
+                        _block_step(W, DS[idx], Drows[idx], eta, stable, t + 1, idx)
             done = W.copy(), alphas.copy()
             # theta . phi from the trained rows, as model._theta lays it out
             Theta = W if co else np.concatenate(

@@ -21,7 +21,7 @@ from corbf.errors import (DataFormatError, InvalidConfigError,
 from corbf.tasks import plant_response
 from corbf.trainer import TrainTrace, read_trace_csv, write_trace_csv
 
-from helpers import run_corbf
+from helpers import run_corbf, run_python
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +379,14 @@ class TestDeterminism:
                 assert a == b
             else:
                 assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+    def test_import_loads_no_process_pool(self):
+        # only --jobs > 1 uses the pool; importing it (and multiprocessing)
+        # would cost every fresh `import corbf`
+        out = run_python("-c", "import sys, corbf; print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_workers_capped_at_run_count(self, monkeypatch, tmp_path):
         # the pool forks all its workers at the first submit; a fake that maps

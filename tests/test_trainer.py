@@ -314,17 +314,21 @@ class TestBlockEngine:
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("mode,frac,bad_target", [
         pytest.param(mode, frac, bad, id=f"{prefix}{frac}-{bad}")
-        for mode, prefix in (("co", ""), ("adaptive", "adaptive-"))
-        for frac, bad in ((5.0, None), (1e14, None), (1.5, np.nan), (1.5, 1e13))])
+        for mode, prefix, expanding in (("co", "", 5.0), ("fixed", "fixed-", 6.0),
+                                        ("adaptive", "adaptive-", 5.0))
+        for frac, bad in ((expanding, None), (1e14, None), (1.5, np.nan), (1.5, 1e13))])
     def test_divergence_names_first_failing_step(self, mode, frac, bad_target,
                                                  shuffle, n_heads):
         # At frac 5 every co step expands the errors, and the first to fail
         # sits at presented positions 123-195, past the first block when
-        # unshuffled. At 1e14 they overflow within the first block. A bad
-        # target at training-set index 200 trips the stable engine's own
-        # check, where a pivoted solve may spread a NaN to the errors before
-        # it. The adaptive loop has no blocks; its coefficients make frac 5
-        # fail within the first ten samples.
+        # unshuffled. Fixed fusion's mixed design expands less: at frac 5
+        # none of its cases fails within 3 epochs, at frac 6 the first
+        # failure comes in epoch 2. At 1e14 they overflow within the first block. A
+        # bad target at training-set index 200 under stable steps trips the
+        # check of the epoch's error operator in dataset order and of the
+        # block solve under shuffle, where a pivoted solve may spread a NaN to
+        # the errors before it. The adaptive loop has no blocks; its
+        # coefficients make frac 5 fail within the first ten samples.
         S = 2 * BLOCK_SIZE + 44
         model, X, D, eta = fit_problem(mode, n_heads, S, frac=frac, seed=61)
         if bad_target is not None:
@@ -414,6 +418,32 @@ class TestBlockEngine:
         done = fit(start, X, D, TrainConfig(eta=eta, epochs=k - 1, seed=3,
                                             shuffle=shuffle, init="keep"))
         np.testing.assert_array_equal(head_params(model), head_params(done.final_model))
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["co", "fixed"])
+    def test_stable_failure_in_epoch_1_leaves_the_model_as_it_was(self, mode, n_heads):
+        # Stable steps in dataset order train by the epoch's error operator;
+        # a NaN target at training-set index 200 fails its check in epoch 1,
+        # and the model must keep its starting parameters bit for bit
+        model, X, D, eta = fit_problem(mode, n_heads, 2 * BLOCK_SIZE + 44, frac=1.5,
+                                       seed=61)
+        D[..., 200] = np.nan
+        start = model.copy()
+        with pytest.raises(DivergenceError) as exc:
+            fit(model, X, D, TrainConfig(eta=eta, epochs=3, seed=3, init="keep"))
+        assert (exc.value.epoch, exc.value.sample) == (1, 201)
+        np.testing.assert_array_equal(head_params(model), head_params(start))
+
+    @pytest.mark.parametrize("frac", [0.5, 1.9])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_long_dataset_order_runs_match_sequential_steps(self, mode, n_heads, frac):
+        # the other block tests run at most 3 epochs; the rounding of the
+        # epoch's error operator accumulates over every epoch of a run
+        model, X, D, eta = fit_problem(mode, n_heads, 2 * BLOCK_SIZE + 44, frac=frac,
+                                       seed=69)
+        assert_fit_matches_replay(model, X, D, TrainConfig(eta=eta, epochs=60, seed=9,
+                                                           init="keep"))
 
     def test_import_and_fit_load_no_scipy(self):
         # scipy's import alone would cost a fresh process 0.2-0.4 s, and the
