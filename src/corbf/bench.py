@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import reference
 from .centers import SubtractiveConfig, fixed_centers, subtractive_clustering
 from .errors import (DataFormatError, DivergenceError, InvalidConfigError,
                      MissingArtifactsError, _read_csv, _write_csv)
@@ -507,16 +508,36 @@ def _epochs_to_level(db_curve: np.ndarray, level_db: float) -> int | None:
     return None if hits.size == 0 else int(hits[0]) + 1
 
 
-def _fmt(v: float | None, nd: int = 2) -> str:
+def _fmt(v: float | tuple | None, nd: int = 2) -> str:
+    """v to nd decimals, a (mean, std) pair as "mean ± std", None as NA."""
+    if isinstance(v, tuple):
+        return " ± ".join(_fmt(x, nd) for x in v)
     return "NA" if v is None else f"{v:.{nd}f}"
 
 
-def compare_report(results_dir: str | os.PathLike) -> str:
-    """Summarize an experiment directory against the published reference
-    figures and the acceptance checks that can be evaluated from artifacts.
-    Reads artifacts only; never mutates them."""
-    from . import reference
+def _final_test_accuracy(results_dir: str, cfg: ExperimentConfig, arch: str) -> float:
+    """Mean over arch's per-run curves, in run order, of each run's last test
+    accuracy: criterion 5's quantity, which the accuracy table rounds to two
+    decimals. Runs without a curve diverged."""
+    accs = []
+    for run in range(cfg.runs):
+        path = os.path.join(results_dir, curve_name(cfg.task, arch, run))
+        if os.path.isfile(path):
+            acc = read_trace_csv(path)["test_acc"]
+            if acc is None or len(acc) != cfg.epochs:
+                raise DataFormatError(f"expected {cfg.epochs} test accuracies", path=path)
+            accs.append(float(acc[-1]))
+    if not accs:
+        raise MissingArtifactsError(
+            results_dir, [curve_name(cfg.task, arch, run) for run in range(cfg.runs)])
+    return float(np.mean(accs))
 
+
+def compare_report(results_dir: str | os.PathLike) -> str:
+    """Summarize an experiment directory: per-task rows of measured against
+    published reference figures, their citations and, when all three
+    architectures ran, the acceptance checks that can be evaluated from
+    artifacts. Reads artifacts only; never mutates them."""
     results_dir = os.fspath(results_dir)
     manifest_path = os.path.join(results_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
@@ -527,77 +548,33 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     if missing:
         raise MissingArtifactsError(results_dir, sorted(missing))
 
-    mean_curves = {}
+    db = {}
     for arch in cfg.architectures:
         path = os.path.join(results_dir, mean_curve_name(cfg.task, arch))
-        mean_curves[arch] = read_trace_csv(path)
-        if len(mean_curves[arch]["epoch"]) != cfg.epochs:
+        curve = read_trace_csv(path)
+        if len(curve["epoch"]) != cfg.epochs:
             raise DataFormatError(f"expected {cfg.epochs} epochs, got "
-                                  f"{len(mean_curves[arch]['epoch'])}", path=path)
-    lines = [
-        f"experiment: {cfg.task} | architectures: {', '.join(cfg.architectures)} | "
-        f"runs: {cfg.runs} | epochs: {cfg.epochs} | eta: {cfg.eta}",
-        "",
-        f"{'quantity':<44} {'measured':>18} {'reported':>18}",
-        "-" * 82,
-    ]
+                                  f"{len(curve['epoch'])}", path=path)
+        db[arch] = curve["mse_db"]
+    finals = {arch: float(curve[-1]) for arch, curve in db.items()}
 
-    def row(label: str, measured: str, reported: str) -> None:
-        lines.append(f"{label:<44} {measured:>18} {reported:>18}")
-
-    checks: list[str] = []
-
+    rows: list[tuple[str, str, str]] = []
     if cfg.task == "iris":
-        acc_rows = _read_metric_table(os.path.join(results_dir, "iris_accuracy.csv"))
-        acc = {(r["architecture"], r["phase"]): (r["mean"], r["std"]) for r in acc_rows}
-        for arch in cfg.architectures:
-            for phase in ("training", "testing"):
-                m = acc.get((arch, phase))
-                ref = reference.REPORTED_IRIS_ACCURACY.get((arch, phase))
-                row(f"iris {phase} accuracy % ({arch})",
-                    "NA" if m is None else f"{_fmt(m[0])} ± {_fmt(m[1])}",
-                    "NA" if ref is None else f"{ref[0]:.2f} ± {ref[1]:.2f}")
-        for arch in cfg.architectures:
-            final_db = float(mean_curves[arch]["mse_db"][-1])
-            ref_db = (reference.REPORTED_IRIS_MSE_DB["co_at_2000"] if arch == "co"
-                      else reference.REPORTED_IRIS_MSE_DB["baselines_at_2000"])
-            row(f"iris final train MSE dB ({arch})", _fmt(final_db), _fmt(ref_db))
-        lines += ["", "citations:",
-                  f"  {reference.REPORTED_IRIS_ACCURACY_CITATION}",
-                  f"  {reference.REPORTED_IRIS_MSE_CITATION}"]
-
-        if {"co", "manual", "adaptive"} <= set(cfg.architectures):
-            co_acc = acc.get(("co", "testing"))
-            man_acc = acc.get(("manual", "testing"))
-            ok5 = (co_acc and man_acc and co_acc[0] >= 96.5 - 1e-9
-                   and co_acc[0] >= man_acc[0])
-            checks.append(f"accuracy check (co testing >= 96.5% and >= manual): "
-                          f"{'PASS' if ok5 else 'FAIL'}")
-            co_db = np.asarray(mean_curves["co"]["mse_db"], dtype=np.float64)
-            ok6a = float(co_db[-1]) <= -31.0
-            checks.append(f"final-MSE check (co mean <= -31 dB): "
-                          f"{'PASS' if ok6a else 'FAIL'} (measured {co_db[-1]:.2f} dB)")
-            if cfg.epochs >= 240:
-                base240 = min(float(np.asarray(mean_curves[a]["mse_db"])[239])
-                              for a in ("manual", "adaptive"))
-                ok6b = float(co_db[159]) <= base240
-                checks.append(
-                    f"early-convergence check (co@160 <= baselines@240): "
-                    f"{'PASS' if ok6b else 'FAIL'} "
-                    f"(co@160 {co_db[159]:.2f} vs {base240:.2f} dB)")
-            ada_db = float(np.asarray(mean_curves["adaptive"]["mse_db"])[-1])
-            ok7 = float(co_db[-1]) <= ada_db
-            checks.append(f"ordering check (co final <= adaptive final): "
-                          f"{'PASS' if ok7 else 'FAIL'} "
-                          f"(co {co_db[-1]:.2f} vs adaptive {ada_db:.2f} dB)")
-
+        table = _read_metric_table(os.path.join(results_dir, "iris_accuracy.csv"))
+        acc = {(r["architecture"], r["phase"]): (r["mean"], r["std"]) for r in table}
+        rows += [(f"iris {phase} accuracy % ({arch})", _fmt(acc.get((arch, phase))),
+                  _fmt(reference.REPORTED_IRIS_ACCURACY.get((arch, phase))))
+                 for arch in cfg.architectures for phase in ("training", "testing")]
+        rows += [(f"iris final train MSE dB ({arch})", _fmt(finals[arch]),
+                  _fmt(reference.REPORTED_IRIS_MSE_DB[
+                      "co_at_2000" if arch == "co" else "baselines_at_2000"]))
+                 for arch in cfg.architectures]
+        citations = [reference.REPORTED_IRIS_ACCURACY_CITATION,
+                     reference.REPORTED_IRIS_MSE_CITATION]
     elif cfg.task == "funapprox":
-        finals = {}
-        for arch in cfg.architectures:
-            finals[arch] = float(np.asarray(mean_curves[arch]["mse_db"])[-1])
-            ref_db = reference.REPORTED_FUNAPPROX_MSE_DB.get(arch)
-            row(f"funapprox final train MSE dB ({arch})", _fmt(finals[arch]),
-                _fmt(ref_db))
+        rows += [(f"funapprox final train MSE dB ({arch})", _fmt(finals[arch]),
+                  _fmt(reference.REPORTED_FUNAPPROX_MSE_DB.get(arch)))
+                 for arch in cfg.architectures]
         max_abs = {}
         for arch in cfg.architectures:
             path = os.path.join(results_dir, f"funapprox_{arch}_test_errors.csv")
@@ -606,48 +583,69 @@ def compare_report(results_dir: str | os.PathLike) -> str:
                 raise DataFormatError("no test errors", path=path)
             max_abs[arch] = max(float(np.max(np.abs(e))) for e in errs.values())
             band = reference.REPORTED_FUNAPPROX_BAND.get(arch)
-            row(f"funapprox max |test error| ({arch})", _fmt(max_abs[arch], 3),
-                "NA" if band is None else f"[{band[0]}, {band[1]}]")
-        lines += ["", "citations:", f"  {reference.REPORTED_FUNAPPROX_CITATION}"]
-        if {"co", "manual", "adaptive"} <= set(cfg.architectures):
-            ok8a = finals["co"] <= min(finals["manual"], finals["adaptive"])
-            checks.append(f"ordering check (co final lowest): "
-                          f"{'PASS' if ok8a else 'FAIL'} "
-                          f"(co {finals['co']:.2f}, manual {finals['manual']:.2f}, "
-                          f"adaptive {finals['adaptive']:.2f} dB)")
-            ok8b = max_abs["co"] <= 0.15
-            checks.append(f"test-error band check (co within ±0.15): "
-                          f"{'PASS' if ok8b else 'FAIL'} (max {max_abs['co']:.3f})")
-            ok7 = finals["co"] <= finals["adaptive"]
-            checks.append(f"ordering check (co final <= adaptive final): "
-                          f"{'PASS' if ok7 else 'FAIL'}")
-
+            rows.append((f"funapprox max |test error| ({arch})", _fmt(max_abs[arch], 3),
+                         "NA" if band is None else f"[{band[0]}, {band[1]}]"))
+        citations = [reference.REPORTED_FUNAPPROX_CITATION]
     else:
-        finals = {}
-        to_level = {}
+        to_level = {arch: _epochs_to_level(db[arch], finals[arch] + 0.5)
+                    for arch in cfg.architectures}
         for arch in cfg.architectures:
-            db = np.asarray(mean_curves[arch]["mse_db"], dtype=np.float64)
-            finals[arch] = float(db[-1])
-            to_level[arch] = _epochs_to_level(db, finals[arch] + 0.5)
-            row(f"sysid final train MSE dB ({arch})", _fmt(finals[arch]),
-                f"±{reference.REPORTED_SYSID_MSE_DB_MAGNITUDE}")
-            row(f"sysid epochs to final+0.5 dB ({arch})",
-                "NA" if to_level[arch] is None else str(to_level[arch]), "fastest: co")
-        lines += ["", "citations:", f"  {reference.REPORTED_SYSID_CITATION}"]
-        if {"co", "manual", "adaptive"} <= set(cfg.architectures):
-            ok9a = (to_level["co"] is not None
-                    and all(to_level[a] is None or to_level["co"] < to_level[a]
-                            for a in ("manual", "adaptive")))
-            spread = max(finals.values()) - min(finals.values())
-            ok9b = spread <= 1.0
-            checks.append(f"convergence-speed check (co fastest to final+0.5 dB): "
-                          f"{'PASS' if ok9a else 'FAIL'}")
-            checks.append(f"final-MSE agreement check (spread <= 1 dB): "
-                          f"{'PASS' if ok9b else 'FAIL'} (spread {spread:.3f} dB)")
+            rows += [(f"sysid final train MSE dB ({arch})", _fmt(finals[arch]),
+                      f"±{reference.REPORTED_SYSID_MSE_DB_MAGNITUDE}"),
+                     (f"sysid epochs to final+0.5 dB ({arch})",
+                      "NA" if to_level[arch] is None else str(to_level[arch]),
+                      "fastest: co")]
+        citations = [reference.REPORTED_SYSID_CITATION]
 
+    checks: list[tuple[str, bool, str | None]] = []
+    if set(cfg.architectures) == set(ARCHITECTURES):
+        co = finals["co"]
+        if cfg.task == "iris":
+            co_acc, man_acc = (_final_test_accuracy(results_dir, cfg, a)
+                               for a in ("co", "manual"))
+            checks += [("accuracy check (co testing >= 96.5% and >= manual)",
+                        co_acc >= 0.965 - 1e-9 and co_acc >= man_acc, None),
+                       ("final-MSE check (co mean <= -31 dB)", co <= -31.0,
+                        f"measured {co:.2f} dB")]
+            if cfg.epochs >= 240:
+                base240 = min(float(db[a][239]) for a in ("manual", "adaptive"))
+                checks.append(("early-convergence check (co@160 <= baselines@240)",
+                               float(db["co"][159]) <= base240,
+                               f"co@160 {db['co'][159]:.2f} vs {base240:.2f} dB"))
+        elif cfg.task == "funapprox":
+            checks += [("ordering check (co final lowest)",
+                        co <= min(finals["manual"], finals["adaptive"]),
+                        f"co {co:.2f}, manual {finals['manual']:.2f}, "
+                        f"adaptive {finals['adaptive']:.2f} dB"),
+                       ("test-error band check (co within ±0.15)", max_abs["co"] <= 0.15,
+                        f"max {max_abs['co']:.3f}")]
+        else:
+            spread = max(finals.values()) - min(finals.values())
+            checks += [("convergence-speed check (co fastest to final+0.5 dB)",
+                        to_level["co"] is not None
+                        and all(to_level[a] is None or to_level["co"] < to_level[a]
+                                for a in ("manual", "adaptive")), None),
+                       ("final-MSE agreement check (spread <= 1 dB)", spread <= 1.0,
+                        f"spread {spread:.3f} dB")]
+        checks.append(("ordering check (co final <= adaptive final)",
+                       co <= finals["adaptive"],
+                       f"co {co:.2f} vs adaptive {finals['adaptive']:.2f} dB"))
+
+    lines = [
+        f"experiment: {cfg.task} | architectures: {', '.join(cfg.architectures)} | "
+        f"runs: {cfg.runs} | epochs: {cfg.epochs} | eta: {cfg.eta}",
+        "",
+        f"{'quantity':<44} {'measured':>18} {'reported':>18}",
+        "-" * 82,
+        *(f"{label:<44} {measured:>18} {reported:>18}"
+          for label, measured, reported in rows),
+        "", "citations:", *(f"  {c}" for c in citations),
+    ]
     if checks:
         lines += ["", "acceptance checks:"]
-        lines += [f"  {c}" for c in checks]
+        lines += [f"  {name}: {'PASS' if ok else 'FAIL'}"
+                  + ("" if detail is None else f" ({detail})")
+                  for name, ok, detail in checks]
     lines += ["", f"diverged runs: {div_count}"]
     return "\n".join(lines) + "\n"
 

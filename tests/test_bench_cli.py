@@ -18,6 +18,7 @@ from corbf.bench import (ARCHITECTURES, IRIS_INFLUENCE, MANIFEST_NAME,
                          run_experiment)
 from corbf.errors import (DataFormatError, InvalidConfigError,
                           MissingArtifactsError, _read_csv)
+from corbf.metrics import write_metric_table
 from corbf.tasks import plant_response
 from corbf.trainer import TrainTrace, read_trace_csv, write_trace_csv
 
@@ -38,6 +39,26 @@ def tiny_iris(tmp_path_factory):
     cfg = ExperimentConfig(task="iris", runs=1, epochs=5, out_dir=str(out))
     assert run_experiment(cfg) == 0
     return out
+
+
+def _clone(directory, tmp_path, **manifest_fields):
+    """A copy of an experiment directory, its manifest edited by the fields."""
+    clone = tmp_path / "clone"
+    shutil.copytree(directory, clone)
+    path = clone / MANIFEST_NAME
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**manifest, **manifest_fields}), encoding="utf-8")
+    return clone
+
+
+def _write_curve(path, db, acc=None):
+    """A crafted curve with the given dB values and, when acc is given, that
+    train and test accuracy at every epoch."""
+    db = np.asarray(db, dtype=np.float64)
+    accs = None if acc is None else np.full(db.shape, acc)
+    write_trace_csv(TrainTrace(epochs=np.arange(1, db.size + 1),
+                               mse_linear=10.0 ** (db / 10.0), mse_db=db,
+                               train_acc=accs, test_acc=accs, final_model=None), path)
 
 
 class TestExperimentConfig:
@@ -161,6 +182,43 @@ class TestFunapproxArtifacts:
         assert "ordering check" in text
         assert text.endswith("diverged runs: 0\n")
 
+    def test_report_on_synthetic_curves(self, tiny_funapprox, tmp_path):
+        # fixture oracle: crafted mean curves and test errors with known values
+        # must surface verbatim in the report
+        clone = _clone(tiny_funapprox, tmp_path)
+        crafted = {"manual": ([-1.0, -4.0, -8.25], [0.2, -0.01, 0.03]),
+                   "adaptive": ([-1.0, -6.0, -9.0], [-3.5, 0.25, 4.25]),
+                   "co": ([-1.0, -5.0, -9.5], [0.1, -0.151, -0.0625])}
+        for arch, (db, errors) in crafted.items():
+            _write_curve(clone / mean_curve_name("funapprox", arch), db)
+            (clone / f"funapprox_{arch}_test_errors.csv").write_text(
+                "run,index,error\n0,0,%r\n0,1,%r\n1,0,%r\n" % tuple(errors),
+                encoding="utf-8")
+        assert compare_report(clone) == """\
+experiment: funapprox | architectures: manual, adaptive, co | runs: 2 | epochs: 3 | eta: 0.001
+
+quantity                                               measured           reported
+----------------------------------------------------------------------------------
+funapprox final train MSE dB (manual)                     -8.25             -36.53
+funapprox final train MSE dB (adaptive)                   -9.00             -20.50
+funapprox final train MSE dB (co)                         -9.50             -39.83
+funapprox max |test error| (manual)                       0.200      [-0.15, 0.15]
+funapprox max |test error| (adaptive)                     4.250        [-3.0, 4.5]
+funapprox max |test error| (co)                           0.151        [-0.1, 0.1]
+
+citations:
+  reported final training MSE (dB) and test instantaneous-error bands at epoch 2000, \
+function-approximation benchmark (stated target reduces to a constant; not comparable \
+to the shipped default target)
+
+acceptance checks:
+  ordering check (co final lowest): PASS (co -9.50, manual -8.25, adaptive -9.00 dB)
+  test-error band check (co within ±0.15): FAIL (max 0.151)
+  ordering check (co final <= adaptive final): PASS (co -9.50 vs adaptive -9.00 dB)
+
+diverged runs: 0
+"""
+
 
 class TestIrisArtifacts:
     def test_metric_tables_exist_and_parse(self, tiny_iris):
@@ -185,6 +243,74 @@ class TestIrisArtifacts:
         assert "98.35 ± 0.12" in text
         assert "99.13 ± 1.47" in text
         assert "citations:" in text
+
+    def test_report_on_synthetic_curves(self, tiny_iris, tmp_path):
+        # fixture oracle: a crafted accuracy table, 240-epoch mean curves and
+        # two runs' final test accuracies must surface verbatim in the report
+        clone = _clone(tiny_iris, tmp_path, runs=2, epochs=240)
+        finals = {"manual": (-15.0, (0.95, 0.97)), "adaptive": (-33.0, (0.9, 1.0)),
+                  "co": (-32.0, (0.95, 1.0))}
+        for arch, (final, accs) in finals.items():
+            db = np.linspace(-1.0, final, 240)
+            _write_curve(clone / mean_curve_name("iris", arch), db)
+            for run, acc in enumerate(accs):
+                _write_curve(clone / curve_name("iris", arch, run), db, acc)
+        write_metric_table(clone / "iris_accuracy.csv", [
+            ("manual", "training", "all", 0.98, 0.01),
+            ("manual", "testing", "all", 0.96, 0.0141),
+            ("adaptive", "training", "all", 0.99, None),
+            ("adaptive", "testing", "all", 0.95, 0.0707),
+            ("co", "training", "all", 0.9875, 0.0025)])
+        # co@160 = -1 - 31 * 159 / 239; co's mean test accuracy 0.975 >= manual's 0.96
+        assert compare_report(clone) == """\
+experiment: iris | architectures: manual, adaptive, co | runs: 2 | epochs: 240 | eta: 0.005
+
+quantity                                               measured           reported
+----------------------------------------------------------------------------------
+iris training accuracy % (manual)                  98.00 ± 1.00       97.71 ± 0.61
+iris testing accuracy % (manual)                   96.00 ± 1.41       97.00 ± 1.01
+iris training accuracy % (adaptive)                  99.00 ± NA       98.59 ± 1.12
+iris testing accuracy % (adaptive)                 95.00 ± 7.07       98.50 ± 4.68
+iris training accuracy % (co)                      98.75 ± 0.25       98.35 ± 0.12
+iris testing accuracy % (co)                                 NA       99.13 ± 1.47
+iris final train MSE dB (manual)                         -15.00             -33.33
+iris final train MSE dB (adaptive)                       -33.00             -33.33
+iris final train MSE dB (co)                             -32.00             -35.39
+
+citations:
+  reported mean classification accuracy (percent, 100-run protocol), iris benchmark
+  reported training-MSE milestones (dB), iris benchmark: -30.17 dB reached at epoch \
+160 by the co architecture vs epoch 240 by both baselines; final -35.39 dB vs -33.33 dB \
+at epoch 2000
+
+acceptance checks:
+  accuracy check (co testing >= 96.5% and >= manual): PASS
+  final-MSE check (co mean <= -31 dB): PASS (measured -32.00 dB)
+  early-convergence check (co@160 <= baselines@240): FAIL (co@160 -21.62 vs -33.00 dB)
+  ordering check (co final <= adaptive final): FAIL (co -32.00 vs adaptive -33.00 dB)
+
+diverged runs: 0
+"""
+
+    @pytest.mark.parametrize("co,manual,co_cell", [
+        pytest.param((0.96, 0.969902), (0.95, 0.95), "96.50", id="co-below-96.5"),
+        pytest.param((0.96996, 0.96996), (0.97004, 0.97004), "97.00",
+                     id="co-below-manual")])
+    def test_accuracy_check_reads_unrounded_run_accuracies(self, tiny_iris, tmp_path,
+                                                           co, manual, co_cell):
+        # criterion 5 takes the mean of each run's final test accuracy; the
+        # table rounds it to two decimals, where co passes both clauses
+        clone = _clone(tiny_iris, tmp_path, runs=2)
+        rows = []
+        for arch, accs in (("co", co), ("manual", manual), ("adaptive", (1.0, 1.0))):
+            for run, acc in enumerate(accs):
+                _write_curve(clone / curve_name("iris", arch, run), [-1.0] * 5, acc)
+            rows.append((arch, "testing", "all", float(np.mean(accs)), 0.0))
+        write_metric_table(clone / "iris_accuracy.csv", rows)
+        text = compare_report(clone)
+        row = next(l for l in text.splitlines() if l.startswith("iris testing accuracy % (co)"))
+        assert f" {co_cell} ± 0.00 " in row
+        assert "accuracy check (co testing >= 96.5% and >= manual): FAIL" in text
 
     def test_curves_record_accuracies(self, tiny_iris):
         trace = read_trace_csv(tiny_iris / curve_name("iris", "co", 0))
@@ -216,25 +342,31 @@ class TestSysidArtifacts:
                    "adaptive": [-1.0, -3.0, -5.6],
                    "manual": [-1.0, -2.0, -5.1]}
         for arch, db in crafted.items():
-            db = np.array(db)
-            trace = TrainTrace(epochs=np.arange(1, 4), mse_linear=10.0 ** (db / 10.0),
-                               mse_db=db, train_acc=None, test_acc=None,
-                               final_model=None)
-            write_trace_csv(trace, tiny_sysid / mean_curve_name("sysid", arch))
-        text = compare_report(tiny_sysid)
-        measured = {}
-        for line in text.splitlines():
-            if line.startswith("sysid "):
-                # fixed-width columns: label 44 chars, measured 18, reported 18
-                measured[line[:44].strip()] = line[45:63].strip()
-        assert measured["sysid final train MSE dB (co)"] == "-6.00"
-        assert measured["sysid final train MSE dB (manual)"] == "-5.10"
-        # -6.0 + 0.5 = -5.5 is first reached at epoch 2
-        assert measured["sysid epochs to final+0.5 dB (co)"] == "2"
-        assert measured["sysid epochs to final+0.5 dB (manual)"] == "3"
-        assert "convergence-speed check (co fastest to final+0.5 dB): PASS" in text
-        # spread = -5.1 - (-6.0)
-        assert "final-MSE agreement check (spread <= 1 dB): PASS (spread 0.900 dB)" in text
+            _write_curve(tiny_sysid / mean_curve_name("sysid", arch), db)
+        # co reaches -6.0 + 0.5 = -5.5 first at epoch 2; spread = -5.1 - (-6.0)
+        assert compare_report(tiny_sysid) == """\
+experiment: sysid | architectures: manual, adaptive, co | runs: 1 | epochs: 3 | eta: 0.0001
+
+quantity                                               measured           reported
+----------------------------------------------------------------------------------
+sysid final train MSE dB (manual)                         -5.10              ±3.48
+sysid epochs to final+0.5 dB (manual)                         3        fastest: co
+sysid final train MSE dB (adaptive)                       -5.60              ±3.48
+sysid epochs to final+0.5 dB (adaptive)                       3        fastest: co
+sysid final train MSE dB (co)                             -6.00              ±3.48
+sysid epochs to final+0.5 dB (co)                             2        fastest: co
+
+citations:
+  reported minimum MSE magnitude (dB) on the system-identification benchmark; sign \
+inconsistent between sections, all three architectures quoted identical
+
+acceptance checks:
+  convergence-speed check (co fastest to final+0.5 dB): PASS
+  final-MSE agreement check (spread <= 1 dB): PASS (spread 0.900 dB)
+  ordering check (co final <= adaptive final): PASS (co -6.00 vs adaptive -5.60 dB)
+
+diverged runs: 0
+"""
 
     def test_battery_ordering_recomputed_from_csvs(self, sysid_battery):
         finals = {}
@@ -246,6 +378,56 @@ class TestSysidArtifacts:
         assert max(finals.values()) - min(finals.values()) <= 1.0
         assert reach["co"] < reach["manual"]
         assert reach["co"] < reach["adaptive"]
+
+
+def _report_verdicts(directory) -> dict[str, bool]:
+    """{check name: passed} from a report's acceptance checks."""
+    block = compare_report(directory).split("acceptance checks:\n")[1].split("\n\n")[0]
+    names_verdicts = (line.strip().split(": ", 1) for line in block.splitlines())
+    return {name: verdict.startswith("PASS") for name, verdict in names_verdicts}
+
+
+ORDERING_CHECK = "ordering check (co final <= adaptive final)"
+
+
+class TestReportAgreesWithCriteria:
+    """Each acceptance check of the report on a Tier-1 battery directory
+    reaches the verdict of the criterion clause it mirrors, evaluated on the
+    same Battery the acceptance suite evaluates."""
+
+    def test_iris(self, iris_battery):
+        acc = {a: float(np.mean(iris_battery.final_test_acc[a])) for a in ("co", "manual")}
+        db, finals = iris_battery.mean_db, iris_battery.final_db
+        assert _report_verdicts(iris_battery.directory) == {
+            "accuracy check (co testing >= 96.5% and >= manual)":
+                acc["co"] >= 0.965 - 1e-9 and acc["co"] >= acc["manual"],
+            "final-MSE check (co mean <= -31 dB)": finals["co"] <= -31.0,
+            "early-convergence check (co@160 <= baselines@240)":
+                float(db["co"][159]) <= min(float(db["manual"][239]),
+                                            float(db["adaptive"][239])),
+            ORDERING_CHECK: finals["co"] <= finals["adaptive"]}
+
+    def test_funapprox(self, funapprox_battery):
+        finals = funapprox_battery.final_db
+        errs = read_test_errors_csv(
+            funapprox_battery.directory / "funapprox_co_test_errors.csv")
+        max_abs = max(float(np.max(np.abs(e))) for e in errs.values())
+        assert _report_verdicts(funapprox_battery.directory) == {
+            "ordering check (co final lowest)":
+                finals["co"] <= min(finals["manual"], finals["adaptive"]),
+            "test-error band check (co within ±0.15)": max_abs <= 0.15,
+            ORDERING_CHECK: finals["co"] <= finals["adaptive"]}
+
+    def test_sysid(self, sysid_battery):
+        finals = sysid_battery.final_db
+        reach = {arch: int(np.nonzero(db <= finals[arch] + 0.5)[0][0]) + 1
+                 for arch, db in sysid_battery.mean_db.items()}
+        assert _report_verdicts(sysid_battery.directory) == {
+            "convergence-speed check (co fastest to final+0.5 dB)":
+                reach["co"] < reach["manual"] and reach["co"] < reach["adaptive"],
+            "final-MSE agreement check (spread <= 1 dB)":
+                max(finals.values()) - min(finals.values()) <= 1.0,
+            ORDERING_CHECK: finals["co"] <= finals["adaptive"]}
 
 
 class TestCompareReportErrors:
@@ -262,6 +444,15 @@ class TestCompareReportErrors:
         with pytest.raises(MissingArtifactsError) as exc:
             compare_report(clone)
         assert exc.value.missing == [victim]
+
+    def test_iris_checks_without_run_curves(self, tiny_iris, tmp_path):
+        # the accuracy check reads the runs' curves; with none left it has
+        # nothing to read, which is a missing artifact and not a FAIL
+        clone = _clone(tiny_iris, tmp_path)
+        os.remove(clone / curve_name("iris", "manual", 0))
+        with pytest.raises(MissingArtifactsError) as exc:
+            compare_report(clone)
+        assert exc.value.missing == [curve_name("iris", "manual", 0)]
 
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda m: {k: v for k, v in m.items() if k != "sysid_centers"},
