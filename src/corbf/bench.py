@@ -372,9 +372,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     t0 = time.monotonic()
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        probe = os.path.join(cfg.out_dir, ".writable")
-        with open(probe, "w", encoding="utf-8") as fh:
-            fh.write("")
+        # exclusive, under a name no artifact uses: no existing file is touched
+        probe = os.path.join(cfg.out_dir, f".corbf-probe-{os.getpid()}")
+        os.close(os.open(probe, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
         os.remove(probe)
     except OSError as exc:
         raise InvalidConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}")
@@ -462,8 +462,9 @@ def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
     return _read_manifest(path)[0]
 
 
-def _read_manifest(path: str | os.PathLike) -> tuple[ExperimentConfig, int]:
-    """config_from_manifest's config and the manifest's divergence_count."""
+def _read_manifest(path: str | os.PathLike) -> tuple[ExperimentConfig, dict[str, list]]:
+    """config_from_manifest's config and the manifest's divergence records, a
+    list of {"run": run, ...} per architecture."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             m = json.load(fh)
@@ -484,7 +485,8 @@ def _read_manifest(path: str | os.PathLike) -> tuple[ExperimentConfig, int]:
                                       f"version runs {value!r}", path=str(path))
         count, records = m["divergence_count"], m["divergences"]
         n = (sum(map(len, records.values())) if isinstance(records, dict) and all(
-            isinstance(v, list) for v in records.values()) else "malformed")
+            isinstance(v, list) and all(isinstance(r, dict) and "run" in r for r in v)
+            for v in records.values()) else "malformed")
         if type(count) is not int or count != n:
             raise DataFormatError(f"manifest records divergence_count {count!r} for "
                                   f"{n} divergence records", path=str(path))
@@ -494,7 +496,7 @@ def _read_manifest(path: str | os.PathLike) -> tuple[ExperimentConfig, int]:
     except InvalidConfigError as exc:
         raise DataFormatError(f"manifest holds an invalid setting: {exc}",
                               path=str(path)) from None
-    return cfg, count
+    return cfg, records
 
 
 def _read_metric_table(path: str) -> list[dict]:
@@ -515,21 +517,18 @@ def _fmt(v: float | tuple | None, nd: int = 2) -> str:
     return "NA" if v is None else f"{v:.{nd}f}"
 
 
-def _final_test_accuracy(results_dir: str, cfg: ExperimentConfig, arch: str) -> float:
-    """Mean over arch's per-run curves, in run order, of each run's last test
+def _final_test_accuracy(results_dir: str, cfg: ExperimentConfig, arch: str,
+                         runs: list[int]) -> float:
+    """Mean over arch's completed runs, in run order, of each run's last test
     accuracy: criterion 5's quantity, which the accuracy table rounds to two
-    decimals. Runs without a curve diverged."""
+    decimals."""
     accs = []
-    for run in range(cfg.runs):
+    for run in runs:
         path = os.path.join(results_dir, curve_name(cfg.task, arch, run))
-        if os.path.isfile(path):
-            acc = read_trace_csv(path)["test_acc"]
-            if acc is None or len(acc) != cfg.epochs:
-                raise DataFormatError(f"expected {cfg.epochs} test accuracies", path=path)
-            accs.append(float(acc[-1]))
-    if not accs:
-        raise MissingArtifactsError(
-            results_dir, [curve_name(cfg.task, arch, run) for run in range(cfg.runs)])
+        acc = read_trace_csv(path)["test_acc"]
+        if acc is None or len(acc) != cfg.epochs:
+            raise DataFormatError(f"expected {cfg.epochs} test accuracies", path=path)
+        accs.append(float(acc[-1]))
     return float(np.mean(accs))
 
 
@@ -542,8 +541,14 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     manifest_path = os.path.join(results_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise MissingArtifactsError(results_dir, [MANIFEST_NAME])
-    cfg, div_count = _read_manifest(manifest_path)
+    cfg, divergences = _read_manifest(manifest_path)
+    # every run the manifest does not record as diverged left a curve
+    diverged = {(arch, r["run"]) for arch, recs in divergences.items() for r in recs}
+    completed = {arch: [run for run in range(cfg.runs) if (arch, run) not in diverged]
+                 for arch in cfg.architectures}
     missing = [name for name in expected_artifacts(cfg.task, cfg.architectures)
+               + [curve_name(cfg.task, arch, run)
+                  for arch, runs in completed.items() for run in runs]
                if not os.path.isfile(os.path.join(results_dir, name))]
     if missing:
         raise MissingArtifactsError(results_dir, sorted(missing))
@@ -601,7 +606,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     if set(cfg.architectures) == set(ARCHITECTURES):
         co = finals["co"]
         if cfg.task == "iris":
-            co_acc, man_acc = (_final_test_accuracy(results_dir, cfg, a)
+            co_acc, man_acc = (_final_test_accuracy(results_dir, cfg, a, completed[a])
                                for a in ("co", "manual"))
             checks += [("accuracy check (co testing >= 96.5% and >= manual)",
                         co_acc >= 0.965 - 1e-9 and co_acc >= man_acc, None),
@@ -646,7 +651,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
         lines += [f"  {name}: {'PASS' if ok else 'FAIL'}"
                   + ("" if detail is None else f" ({detail})")
                   for name, ok, detail in checks]
-    lines += ["", f"diverged runs: {div_count}"]
+    lines += ["", f"diverged runs: {sum(map(len, divergences.values()))}"]
     return "\n".join(lines) + "\n"
 
 

@@ -7,12 +7,14 @@ full training set, accuracies for classification) are computed after each
 epoch finishes, never from the running instantaneous errors.
 
 sgd_step is the sequential reference. Fixed and co fusion are linear in their
-weights, so fit runs them as exact blocks of up to BLOCK_SIZE samples: one
-triangular solve yields every instantaneous error of a block, then one
-product applies all of its increments. In dataset order with stable steps an
-epoch's errors are affine in its starting rows W, E = F - J W^T, so one
-epoch of blocks from zero rows on the targets [D | DS] (DS the design) gives
-[F | J] once per fit and each epoch is two products. Adaptive fusion
+weights, so fit trains them with one routine, _linear_blocks, as exact blocks:
+one triangular solve yields every instantaneous error of a block, then one
+product applies all of its increments. A block of one sample is sgd_step's
+update; blocks hold one sample when a step could expand the error, and a
+block failing the divergence check replays that way. In dataset order with
+stable steps an epoch's errors are affine in its starting rows W,
+E = F - J W^T: the routine run once from zero rows on the targets [D | DS]
+(DS the design) gives [F | J], and each epoch is two products. Adaptive fusion
 multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
@@ -176,65 +178,45 @@ def _block_indices(order: np.ndarray) -> list[np.ndarray]:
     return [order[lo:lo + BLOCK_SIZE] for lo in range(0, len(order), BLOCK_SIZE)]
 
 
-def _error_system(A: np.ndarray, eta: float) -> np.ndarray:
-    """I + eta * tril(A A^T, -1) for the design rows A of one block.
+def _linear_blocks(W: np.ndarray, DS: np.ndarray, Drows: np.ndarray, order, eta: float,
+                   width: int, epoch: int | None, out: np.ndarray | None = None) -> None:
+    """Present the design rows DS[order] (targets Drows[order]) in blocks of
+    width samples, updating W (heads as rows) in place as one sgd_step per
+    row and head would, up to rounding; out[order], when given, receives the
+    errors (samples as rows, heads as columns).
 
-    Per-sample SGD over the rows of A in order, from weights W, makes
-    instantaneous errors E (samples as rows, heads as columns) that solve this
-    unit lower-triangular system with right-hand side D - A W^T exactly: error
-    i is row i's residual at W minus eta * (A A^T)[i, j] * E[j] for every
-    earlier row j, the move that row j's update made in row i's output.
+    From W, a block of rows A makes errors E that solve the unit
+    lower-triangular system (I + eta * tril(A A^T, -1)) E = D - A W^T
+    exactly: error i is row i's residual minus eta * (A A^T)[i, j] * E[j] for
+    every earlier row j, the move that row j's update made in row i's output.
+    Width 1 needs no solve: that is sgd_step's arithmetic. Wider blocks need
+    stable steps (eta * ||row||^2 <= 2 for every row), which bound every
+    entry of the inverse by 2; otherwise its entries grow with the errors and
+    a solve cancels digits (1e-7 relative at eta * ||row||^2 = 5).
+
+    epoch labels the check of each block's errors; None skips it. A block
+    failing it replays from its starting W with width 1, which raises at the
+    first failing sample: a pivoted solve can spoil the errors before a
+    divergence, sequential steps cannot.
     """
-    T = np.tril(A @ A.T, -1)
-    T *= eta
-    np.fill_diagonal(T, 1.0)
-    return T
-
-
-def _block_step(W: np.ndarray, A: np.ndarray, D: np.ndarray, eta: float,
-                stable: bool, epoch: int, idx: np.ndarray) -> None:
-    """Present the design rows A (targets D, training-set indices idx) in order.
-
-    Updates W (heads as rows) in place as one sgd_step per row and head would,
-    up to rounding: solve the block's error system, then add the summed
-    increments eta * E^T A. Divergence raises at the first failing sample, as
-    sgd_step.
-
-    stable says that no step expands the error (eta * ||row||^2 <= 2 for every
-    row), which bounds every entry of the inverse by 2. Otherwise its entries
-    grow with the errors and a solve cancels digits (1e-7 relative at
-    eta * ||row||^2 = 5 in the tests), so the errors come from forward
-    substitution instead.
-    """
-    R = D - A @ W.T
-    if stable:
-        E = np.linalg.solve(_error_system(A, eta), R)
-    if not stable or not (np.abs(E).max() <= DIVERGENCE_LIMIT):
-        # A pivoted solve can also spoil the errors before a divergence.
-        # Forward substitution cannot: error i reads only the errors
-        # presented before it.
-        T = _error_system(A, eta)
-        E = np.empty_like(R)
-        for i in range(len(R)):
-            E[i] = R[i] - T[i, :i] @ E[:i]
-            if not np.all(np.abs(E[i]) <= DIVERGENCE_LIMIT):
-                raise DivergenceError(epoch, int(idx[i]) + 1,
-                                      float(E[i, np.argmax(np.abs(E[i]))]))
-    W += (eta * E).T @ A
-
-
-def _epoch_operator(DS: np.ndarray, Drows: np.ndarray, eta: float) -> list:
-    """[F, J] for a stable epoch in dataset order over the design rows DS: from
-    rows W it makes the errors F - J W^T (samples by heads), those of an epoch
-    from zero rows on the targets Drows - DS W^T. Solved as in _block_step but
-    unchecked: a bad entry instead fails each epoch's check of F - J W^T."""
-    FJ = np.concatenate((Drows, DS), axis=1)
-    V = np.zeros((FJ.shape[1], DS.shape[1]))
-    for idx in _block_indices(np.arange(len(DS))):
+    for lo in range(0, len(order), width):
+        idx = order[lo:lo + width]
         A = DS[idx]
-        FJ[idx] = np.linalg.solve(_error_system(A, eta), FJ[idx] - A @ V.T)
-        V += (eta * FJ[idx]).T @ A
-    return np.split(FJ, [Drows.shape[1]], axis=1)
+        E = Drows[idx] - A @ W.T
+        if width > 1:
+            T = np.tril(A @ A.T, -1)
+            T *= eta
+            np.fill_diagonal(T, 1.0)
+            E = np.linalg.solve(T, E)
+        if epoch is not None and not (np.abs(E).max() <= DIVERGENCE_LIMIT):
+            if width == 1:
+                raise DivergenceError(epoch, int(idx[0]) + 1,
+                                      float(E[0, np.argmax(np.abs(E[0]))]))
+            _linear_blocks(W, DS, Drows, idx, eta, 1, epoch, out)
+            continue
+        W += (eta * E).T @ A
+        if out is not None:
+            out[idx] = E
 
 
 def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
@@ -430,8 +412,16 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     else:
         # fixed and co fusion reduce to linear SGD on a precomputed design
         stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
-        # in dataset order a stable epoch's errors are affine in its rows
-        F, J = _epoch_operator(DS, Drows, eta) if stable and not cfg.shuffle else (None, None)
+        width = BLOCK_SIZE if stable else 1
+        F = None
+        if stable and not cfg.shuffle:
+            # a stable epoch in dataset order makes the errors F - J W^T.
+            # [F | J] is built unchecked: a bad entry instead fails each
+            # epoch's check of F - J W^T.
+            FJ = np.concatenate((Drows, DS), axis=1)
+            _linear_blocks(np.zeros((FJ.shape[1], DS.shape[1])), DS, FJ, range(S), eta,
+                           width, None, out=FJ)
+            F, J = np.split(FJ, [Drows.shape[1]], axis=1)
 
     def write_heads(W: np.ndarray, alphas: np.ndarray) -> None:
         for c, h in enumerate(heads):
@@ -483,8 +473,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                 else:
                     # by blocks; an epoch failing E's check replays from its
                     # starting rows and raises at its first failing sample
-                    for idx in _block_indices(order):
-                        _block_step(W, DS[idx], Drows[idx], eta, stable, t + 1, idx)
+                    _linear_blocks(W, DS, Drows, order, eta, width, t + 1)
             done = W.copy(), alphas.copy()
             # theta . phi from the trained rows, as model._theta lays it out
             Theta = W if co else np.concatenate(

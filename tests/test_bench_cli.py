@@ -120,6 +120,16 @@ class TestExperimentConfig:
         with pytest.raises(InvalidConfigError):
             run_experiment(cfg)
 
+    def test_writability_probe_keeps_existing_files(self, tmp_path):
+        keep = tmp_path / ".writable"
+        keep.write_text("keep", encoding="utf-8")
+        cfg = ExperimentConfig(task="sysid", runs=1, epochs=2, out_dir=str(tmp_path))
+        assert run_experiment(cfg) == 0
+        assert keep.read_text(encoding="utf-8") == "keep"
+        # and the probe leaves nothing behind
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert sorted(os.listdir(tmp_path)) == sorted(manifest["artifacts"] + [".writable"])
+
 
 class TestFunapproxArtifacts:
     def test_all_expected_artifacts_exist(self, tiny_funapprox):
@@ -454,6 +464,23 @@ class TestCompareReportErrors:
             compare_report(clone)
         assert exc.value.missing == [curve_name("iris", "manual", 0)]
 
+    def test_run_curve_missing_without_divergence_record(self, tiny_iris, tmp_path,
+                                                         capsys):
+        # the manifest records two runs and no divergence, so each run left a
+        # curve; the accuracy check must not average the one run left
+        clone = _clone(tiny_iris, tmp_path, runs=2)
+        with pytest.raises(MissingArtifactsError) as exc:
+            compare_report(clone)
+        assert exc.value.missing == sorted(curve_name("iris", a, 1) for a in ARCHITECTURES)
+        assert cli.main(["report", str(clone)]) == 2
+        assert curve_name("iris", "co", 1) in capsys.readouterr().err
+
+    def test_diverged_runs_need_no_curve(self, tiny_iris, tmp_path):
+        record = {"run": 1, "epoch": 1, "sample": 1, "error_value": 1e13}
+        clone = _clone(tiny_iris, tmp_path, runs=2, divergence_count=3,
+                       divergences={a: [record] for a in ARCHITECTURES})
+        assert "diverged runs: 3" in compare_report(clone)
+
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda m: {k: v for k, v in m.items() if k != "sysid_centers"},
                      "manifest lacks the key 'sysid_centers'", id="missing-key"),
@@ -476,7 +503,11 @@ class TestCompareReportErrors:
                      id="divergence-count-string"),
         pytest.param(lambda m: {**m, "divergence_count": 1},
                      "manifest records divergence_count 1 for 0 divergence records",
-                     id="divergence-count-disagrees")])
+                     id="divergence-count-disagrees"),
+        pytest.param(lambda m: {**m, "divergences": {"co": [{"epoch": 1}]},
+                                "divergence_count": 1},
+                     "manifest records divergence_count 1 for malformed divergence records",
+                     id="divergence-record-without-run")])
     def test_report_on_malformed_manifest_exits_2(self, tiny_funapprox, tmp_path,
                                                    capsys, edit, message):
         clone = tmp_path / "clone"
