@@ -247,7 +247,9 @@ def mean_curve_name(task: str, arch: str) -> str:
 
 
 def expected_artifacts(task: str, architectures: tuple[str, ...]) -> list[str]:
-    """Artifact file names run_experiment promises for this configuration.
+    """Artifact file names run_experiment promises when the given
+    architectures each completed a run (an architecture whose runs all
+    diverged writes nothing).
 
     Per-run curves exist only for completed (non-diverged) runs, so they are
     not listed here; the manifest enumerates the ones actually written.
@@ -255,7 +257,7 @@ def expected_artifacts(task: str, architectures: tuple[str, ...]) -> list[str]:
     names = [MANIFEST_NAME]
     for arch in architectures:
         names.append(mean_curve_name(task, arch))
-    if task == "iris":
+    if task == "iris" and architectures:
         names += ["iris_accuracy.csv", "iris_sensitivity.csv",
                   "iris_specificity.csv", "iris_youden.csv"]
     elif task == "funapprox":
@@ -535,8 +537,9 @@ def _final_test_accuracy(results_dir: str, cfg: ExperimentConfig, arch: str,
 def compare_report(results_dir: str | os.PathLike) -> str:
     """Summarize an experiment directory: per-task rows of measured against
     published reference figures, their citations and, when all three
-    architectures ran, the acceptance checks that can be evaluated from
-    artifacts. Reads artifacts only; never mutates them."""
+    architectures completed a run, the acceptance checks that can be evaluated
+    from artifacts. An architecture whose runs all diverged gets one line
+    saying so instead of rows. Reads artifacts only; never mutates them."""
     results_dir = os.fspath(results_dir)
     manifest_path = os.path.join(results_dir, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
@@ -546,7 +549,9 @@ def compare_report(results_dir: str | os.PathLike) -> str:
     diverged = {(arch, r["run"]) for arch, recs in divergences.items() for r in recs}
     completed = {arch: [run for run in range(cfg.runs) if (arch, run) not in diverged]
                  for arch in cfg.architectures}
-    missing = [name for name in expected_artifacts(cfg.task, cfg.architectures)
+    # an architecture whose runs all diverged wrote no artifact
+    ran = tuple(arch for arch in cfg.architectures if completed[arch])
+    missing = [name for name in expected_artifacts(cfg.task, ran)
                + [curve_name(cfg.task, arch, run)
                   for arch, runs in completed.items() for run in runs]
                if not os.path.isfile(os.path.join(results_dir, name))]
@@ -554,7 +559,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
         raise MissingArtifactsError(results_dir, sorted(missing))
 
     db = {}
-    for arch in cfg.architectures:
+    for arch in ran:
         path = os.path.join(results_dir, mean_curve_name(cfg.task, arch))
         curve = read_trace_csv(path)
         if len(curve["epoch"]) != cfg.epochs:
@@ -569,19 +574,19 @@ def compare_report(results_dir: str | os.PathLike) -> str:
         acc = {(r["architecture"], r["phase"]): (r["mean"], r["std"]) for r in table}
         rows += [(f"iris {phase} accuracy % ({arch})", _fmt(acc.get((arch, phase))),
                   _fmt(reference.REPORTED_IRIS_ACCURACY.get((arch, phase))))
-                 for arch in cfg.architectures for phase in ("training", "testing")]
+                 for arch in ran for phase in ("training", "testing")]
         rows += [(f"iris final train MSE dB ({arch})", _fmt(finals[arch]),
                   _fmt(reference.REPORTED_IRIS_MSE_DB[
                       "co_at_2000" if arch == "co" else "baselines_at_2000"]))
-                 for arch in cfg.architectures]
+                 for arch in ran]
         citations = [reference.REPORTED_IRIS_ACCURACY_CITATION,
                      reference.REPORTED_IRIS_MSE_CITATION]
     elif cfg.task == "funapprox":
         rows += [(f"funapprox final train MSE dB ({arch})", _fmt(finals[arch]),
                   _fmt(reference.REPORTED_FUNAPPROX_MSE_DB.get(arch)))
-                 for arch in cfg.architectures]
+                 for arch in ran]
         max_abs = {}
-        for arch in cfg.architectures:
+        for arch in ran:
             path = os.path.join(results_dir, f"funapprox_{arch}_test_errors.csv")
             errs = read_test_errors_csv(path)
             if not errs:
@@ -592,9 +597,8 @@ def compare_report(results_dir: str | os.PathLike) -> str:
                          "NA" if band is None else f"[{band[0]}, {band[1]}]"))
         citations = [reference.REPORTED_FUNAPPROX_CITATION]
     else:
-        to_level = {arch: _epochs_to_level(db[arch], finals[arch] + 0.5)
-                    for arch in cfg.architectures}
-        for arch in cfg.architectures:
+        to_level = {arch: _epochs_to_level(db[arch], finals[arch] + 0.5) for arch in ran}
+        for arch in ran:
             rows += [(f"sysid final train MSE dB ({arch})", _fmt(finals[arch]),
                       f"±{reference.REPORTED_SYSID_MSE_DB_MAGNITUDE}"),
                      (f"sysid epochs to final+0.5 dB ({arch})",
@@ -603,7 +607,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
         citations = [reference.REPORTED_SYSID_CITATION]
 
     checks: list[tuple[str, bool, str | None]] = []
-    if set(cfg.architectures) == set(ARCHITECTURES):
+    if set(ran) == set(ARCHITECTURES):
         co = finals["co"]
         if cfg.task == "iris":
             co_acc, man_acc = (_final_test_accuracy(results_dir, cfg, a, completed[a])
@@ -644,6 +648,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
         "-" * 82,
         *(f"{label:<44} {measured:>18} {reported:>18}"
           for label, measured, reported in rows),
+        *(f"{arch}: all runs diverged" for arch in cfg.architectures if arch not in ran),
         "", "citations:", *(f"  {c}" for c in citations),
     ]
     if checks:

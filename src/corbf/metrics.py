@@ -18,13 +18,16 @@ from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError
 from .model import RbfModel, forward_batch
 
 
-def mse_db_from_linear(mse: float) -> float:
-    """10*log10(mse); zero maps to the -inf sentinel."""
-    if mse < 0:
-        raise InvalidConfigError(f"mean squared error cannot be negative: {mse}")
-    if mse == 0.0:
-        return float("-inf")
-    return float(10.0 * np.log10(mse))
+def mse_db_from_linear(mse):
+    """10*log10(mse), elementwise for an array (a float for a scalar); zero
+    maps to the -inf sentinel."""
+    mse = np.asarray(mse, dtype=np.float64)
+    if np.any(mse < 0):
+        raise InvalidConfigError(
+            f"mean squared error cannot be negative: {mse[mse < 0].flat[0]}")
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(mse)
+    return float(db) if db.ndim == 0 else db
 
 
 def mse_db(errors: np.ndarray) -> float:

@@ -68,6 +68,11 @@ DIVERGENCE_LIMIT = 1e12
 # RSS by 16%, blocks of 128 by 2%.
 BLOCK_SIZE = 128
 
+# Epochs per chunk of fit: a chunk's epochs are evaluated together, by one
+# stacked product, and the error-operator epochs of a chunk are checked
+# together. Its buffers hold one chunk's rows, errors and outputs.
+CHUNK_EPOCHS = 128
+
 INIT_KINDS = ("uniform", "zeros", "keep")
 
 
@@ -357,7 +362,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if S == 0:
         raise EmptyInputError("fit needs at least one training sample")
     heads = model.heads if isinstance(model, MultiHeadRbfModel) else [model]
-    bank, mode = heads[0].bank, heads[0].mode
+    H, bank, mode = len(heads), heads[0].bank, heads[0].mode
     if any(type(h.mode) is not type(mode) for h in heads):
         raise InvalidModelError("all heads must use the same fusion mode")
     co, adaptive = isinstance(mode, CoFusion), isinstance(mode, AdaptiveFusion)
@@ -385,7 +390,6 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                                 np.random.SeedSequence(cfg.seed).spawn(2))
 
     eta, a_eta = cfg.eta, cfg.effective_alpha_eta
-    mse_lin, train_acc, test_acc = [], [], []
     truth = None if not classification else (
         labels if labels is not None else np.argmax(Dmat, axis=0))
 
@@ -403,6 +407,16 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             DS = np.empty((S, 1 + K))
             DS[:, 0] = 1.0
             DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
+    # Rows[i + 1] and Alphas[i + 1] receive what epoch i of a chunk trains
+    # from Rows[i] and Alphas[i]; Out[i] its errors (operator epochs), then
+    # its outputs theta . phi
+    C = min(CHUNK_EPOCHS, cfg.epochs)
+    Rows = np.empty((C + 1, *W.shape))
+    Rows[0] = W
+    Alphas = np.empty((C + 1, *alphas.shape))
+    Alphas[:] = alphas
+    Out = np.empty((C, H, S))
+    operator = False
     if adaptive:
         P2 = np.stack((Pg.T, Pc.T), axis=1)
         q = np.empty(2)
@@ -413,15 +427,17 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         # fixed and co fusion reduce to linear SGD on a precomputed design
         stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
         width = BLOCK_SIZE if stable else 1
-        F = None
-        if stable and not cfg.shuffle:
+        operator = stable and not cfg.shuffle
+        if operator:
             # a stable epoch in dataset order makes the errors F - J W^T.
             # [F | J] is built unchecked: a bad entry instead fails each
-            # epoch's check of F - J W^T.
+            # epoch's check of F - J W^T. The epoch works on F^T and J^T,
+            # heads as rows.
             FJ = np.concatenate((Drows, DS), axis=1)
             _linear_blocks(np.zeros((FJ.shape[1], DS.shape[1])), DS, FJ, range(S), eta,
                            width, None, out=FJ)
-            F, J = np.split(FJ, [Drows.shape[1]], axis=1)
+            FT, JT = (np.ascontiguousarray(M.T) for M in np.split(FJ, [H], axis=1))
+            G, U = np.empty((H, S)), np.empty(W.shape)
 
     def write_heads(W: np.ndarray, alphas: np.ndarray) -> None:
         for c, h in enumerate(heads):
@@ -430,9 +446,41 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             if adaptive:
                 h.mode.alpha_gaussian, h.mode.alpha_cosine = alphas[c].tolist()
 
-    done = None  # W and alphas after the last completed epoch
+    def operator_epochs(t0: int, n: int) -> None:
+        """Epochs t0 .. t0 + n - 1 of a chunk by the error operator, each
+        E = F - W J^T and W += (eta E) DS, with one check of their errors at
+        the end. The first epoch failing it replays from its starting rows by
+        blocks, which raises at its first failing sample; if it does not
+        raise (the check failed on rounding), the epochs after it run again."""
+        lo = 0
+        while lo < n:
+            # epochs after a failing one may overflow; they are thrown away
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(lo, n):
+                    E = Out[i]
+                    np.matmul(Rows[i], JT, out=E)
+                    np.subtract(FT, E, out=E)
+                    np.matmul(np.multiply(E, eta, out=G), DS, out=U)
+                    np.add(Rows[i], U, out=Rows[i + 1])
+            E = np.abs(Out[lo:n], out=Out[lo:n])
+            ok = E.reshape(n - lo, -1).max(axis=1) <= DIVERGENCE_LIMIT
+            if ok.all():
+                return
+            k = lo + int(np.argmin(ok))
+            Rows[k + 1] = Rows[k]
+            _linear_blocks(Rows[k + 1], DS, Drows, range(S), eta, width, t0 + k + 1)
+            lo = k + 1
+
+    mse_lin = np.empty(cfg.epochs)
+    train_acc = np.empty(cfg.epochs) if classification else None
+    test_acc = np.empty(cfg.epochs) if eval_phi is not None else None
     try:
         for t in range(cfg.epochs):
+            # epoch t trains Rows[i + 1] and Alphas[i + 1] from Rows[i] and Alphas[i]
+            i = t % C
+            W, alphas = Rows[i + 1], Alphas[i + 1]
+            if not operator:
+                W[...], alphas[...] = Rows[i], Alphas[i]
             order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
             if adaptive:
                 blocks = fixed_blocks or [_gram_block(P2, Dmat, idx)
@@ -466,39 +514,45 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     W[c, 0], alphas[c] = b, (ag, ac)
                 if failed:
                     raise _first_failure(failed, order)
-            else:
-                E = None if F is None else F - J @ W.T
-                if E is not None and np.abs(E).max() <= DIVERGENCE_LIMIT:
-                    W += (eta * E).T @ DS
-                else:
-                    # by blocks; an epoch failing E's check replays from its
-                    # starting rows and raises at its first failing sample
-                    _linear_blocks(W, DS, Drows, order, eta, width, t + 1)
-            done = W.copy(), alphas.copy()
-            # theta . phi from the trained rows, as model._theta lays it out
+            elif not operator:
+                # by blocks; a failing block replays sample by sample and
+                # raises at its first failing sample
+                _linear_blocks(W, DS, Drows, order, eta, width, t + 1)
+            elif i == 0:
+                operator_epochs(t, min(C, cfg.epochs - t))
+            if i + 1 < C and t + 1 < cfg.epochs:
+                continue
+            # the chunk's last epoch: theta . phi of all of its epochs, in
+            # model._theta's layout, by one stacked product
+            n, done = i + 1, slice(t - i, t + 1)
+            W, alphas = Rows[1:n + 1], Alphas[1:n + 1]
             Theta = W if co else np.concatenate(
-                (W[:, :1], (alphas[:, mix, None] * W[:, None, 1:]).reshape(len(W), -1)),
-                axis=1)
-            Y = Theta @ Phi
-            err = Dmat - Y
-            # np.mean's own arithmetic, without its Python wrapper
-            mse_lin.append(float(np.add.reduce(err * err, axis=None) / err.size))
+                (W[..., :1], (alphas[..., mix, None] * W[..., None, 1:]).reshape(n, H, -1)),
+                axis=2)
+            Y = np.matmul(Theta, Phi, out=Out[:n])
             if classification:
-                train_acc.append(float(np.mean(np.argmax(Y, axis=0) == truth)))
+                train_acc[done] = np.mean(np.argmax(Y, axis=1) == truth, axis=1)
             if eval_phi is not None:
-                preds = np.argmax(Theta @ eval_phi, axis=0)
-                test_acc.append(float(np.mean(preds == eval_labels)))
-    except DivergenceError:
-        if done is not None:
-            write_heads(*done)
+                preds = np.argmax(np.matmul(Theta, eval_phi), axis=1)
+                test_acc[done] = np.mean(preds == eval_labels, axis=1)
+            err = np.subtract(Dmat, Y, out=Y)
+            # each epoch's np.add.reduce(err * err, axis=None) / err.size
+            mse_lin[done] = np.add.reduce(np.multiply(err, err, out=err),
+                                          axis=(1, 2)) / err[0].size
+            Rows[0], Alphas[0] = Rows[n], Alphas[n]
+    except DivergenceError as exc:
+        # the failing epoch started from the last completed one's rows
+        if exc.epoch > 1:
+            i = (exc.epoch - 1) % C
+            write_heads(Rows[i], Alphas[i])
         raise
-    write_heads(W, alphas)
+    write_heads(Rows[0], Alphas[0])
     return TrainTrace(
         epochs=np.arange(1, cfg.epochs + 1, dtype=np.int64),
-        mse_linear=np.array(mse_lin),
-        mse_db=np.array([mse_db_from_linear(v) for v in mse_lin]),
-        train_acc=np.array(train_acc) if classification else None,
-        test_acc=np.array(test_acc) if (classification and eval_phi is not None) else None,
+        mse_linear=mse_lin,
+        mse_db=mse_db_from_linear(mse_lin),
+        train_acc=train_acc,
+        test_acc=test_acc,
         final_model=model.copy())
 
 

@@ -481,6 +481,27 @@ class TestCompareReportErrors:
                        divergences={a: [record] for a in ARCHITECTURES})
         assert "diverged runs: 3" in compare_report(clone)
 
+    @pytest.mark.parametrize("archs", ["manual,co", "manual,adaptive,co"])
+    def test_architecture_whose_runs_all_diverged(self, archs, tmp_path, capsys):
+        # at this eta every co run diverges in epoch 1 and the run succeeds;
+        # the report expects no co artifact, says co diverged and builds no
+        # three-architecture check, but still misses a completed one's file
+        out = tmp_path / "out"
+        assert cli.main(["run", "sysid", "--arch", archs, "--runs", "2", "--epochs", "5",
+                         "--eta", "0.5", "--out", str(out)]) == 0
+        manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert [r["run"] for r in manifest["divergences"]["co"]] == [0, 1]
+        assert not manifest["divergences"]["manual"]
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "co: all runs diverged" in text
+        assert "(co)" not in text and "acceptance checks" not in text
+        assert "sysid final train MSE dB (manual)" in text
+        os.remove(out / "sysid_manual_trace.csv")
+        assert cli.main(["report", str(out)]) == 2
+        assert "missing: sysid_manual_trace.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit,message", [
         pytest.param(lambda m: {k: v for k, v in m.items() if k != "sysid_centers"},
                      "manifest lacks the key 'sysid_centers'", id="missing-key"),

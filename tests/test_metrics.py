@@ -47,6 +47,18 @@ class TestMseDb:
     def test_negative_linear_mse_rejected(self):
         with pytest.raises(InvalidConfigError):
             mse_db_from_linear(-1e-9)
+        with pytest.raises(InvalidConfigError):
+            mse_db_from_linear(np.array([1.0, -1e-9]))
+
+    def test_array_is_each_scalar_bit_for_bit(self):
+        # fit converts a whole curve at once; every entry must be the float
+        # that 10 * log10 of that entry alone gives
+        rng = np.random.default_rng(52)
+        mse = np.concatenate(([0.0, 1.0, 5e-324, 1e-300],
+                              10.0 ** rng.uniform(-30, 30, 5000), rng.uniform(0, 10, 5000)))
+        want = [float("-inf") if v == 0 else float(10.0 * np.log10(v)) for v in mse.tolist()]
+        assert mse_db_from_linear(mse).tobytes() == np.array(want).tobytes()
+        assert mse_db_from_linear(0.0) == float("-inf")
 
 
 class TestAccuracy:

@@ -1,19 +1,20 @@
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corbf import bench
+from corbf import bench, trainer
 from corbf.errors import (DivergenceError, EmptyInputError, InvalidConfigError,
                           InvalidModelError)
 from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
                            kernel_matrix, kernel_vector)
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
                          MultiHeadRbfModel, RbfModel, forward, forward_batch)
-from corbf.trainer import (BLOCK_SIZE, INIT_KINDS, TrainConfig, TrainTrace,
+from corbf.trainer import (BLOCK_SIZE, CHUNK_EPOCHS, INIT_KINDS, TrainConfig, TrainTrace,
                            fit, learning_rate_bound, read_trace_csv,
                            sgd_step, write_trace_csv)
 
@@ -462,20 +463,63 @@ class TestBlockEngine:
                                             shuffle=shuffle, init="keep"))
         np.testing.assert_array_equal(head_params(model), head_params(done.final_model))
 
+    @pytest.mark.parametrize("target", [np.nan, 1e13, -1.7e308])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["co", "fixed"])
-    def test_stable_failure_in_epoch_1_leaves_the_model_as_it_was(self, mode, n_heads):
+    def test_stable_failure_in_epoch_1_leaves_the_model_as_it_was(self, mode, n_heads,
+                                                                  target):
         # Stable steps in dataset order train by the epoch's error operator;
-        # a NaN target at training-set index 200 fails its check in epoch 1,
-        # and the model must keep its starting parameters bit for bit
+        # a NaN or too large target at training-set index 200 fails its check
+        # in epoch 1, and the model must keep its starting parameters bit for
+        # bit. The check runs after the chunk's last epoch, and the epochs
+        # after the failing one (which overflow for -1.7e308) warn of nothing.
         model, X, D, eta = fit_problem(mode, n_heads, 2 * BLOCK_SIZE + 44, frac=1.5,
                                        seed=61)
-        D[..., 200] = np.nan
+        D[..., 200] = target
         start = model.copy()
-        with pytest.raises(DivergenceError) as exc:
-            fit(model, X, D, TrainConfig(eta=eta, epochs=3, seed=3, init="keep"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                fit(model, X, D, TrainConfig(eta=eta, epochs=3, seed=3, init="keep"))
         assert (exc.value.epoch, exc.value.sample) == (1, 201)
         np.testing.assert_array_equal(head_params(model), head_params(start))
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_chunking_leaves_no_trace_in_the_bits(self, mode, n_heads, shuffle,
+                                                  monkeypatch):
+        # fit evaluates its epochs, and checks its error-operator epochs, a
+        # chunk of CHUNK_EPOCHS at a time. A fit ending before, at or after a
+        # chunk's end holds the first epochs of a longer fit bit for bit, and
+        # ends with the rows of the same fit run one epoch per chunk.
+        C = CHUNK_EPOCHS
+        model, X, D, eta = fit_problem(mode, n_heads, 24, seed=62)
+        rng = np.random.default_rng(63)
+        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, 24)) if n_heads == 3 else None
+
+        def run(epochs):
+            return fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, seed=5,
+                                                       shuffle=shuffle, init="keep"),
+                       eval_set)
+
+        columns = ("epochs", "mse_linear", "mse_db", "train_acc", "test_acc")
+        full = run(2 * C + 5)
+        assert (full.test_acc is None) == (eval_set is None)
+        traces = {T: run(T) for T in (1, C - 1, C, C + 1, 2 * C + 3)}
+        monkeypatch.setattr(trainer, "CHUNK_EPOCHS", 1)
+        for T, trace in traces.items():
+            for name in columns:
+                got, want = getattr(trace, name), getattr(full, name)
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want[:T])
+            single = run(T)
+            for name in columns:
+                np.testing.assert_array_equal(getattr(trace, name), getattr(single, name))
+            np.testing.assert_array_equal(head_params(trace.final_model),
+                                          head_params(single.final_model))
 
     @pytest.mark.parametrize("frac", [0.5, 1.9])
     @pytest.mark.parametrize("n_heads", [1, 3])
