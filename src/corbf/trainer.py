@@ -14,7 +14,8 @@ update; blocks hold one sample when a step could expand the error, and a
 block failing the divergence check replays that way. In dataset order with
 stable steps an epoch's errors are affine in its starting rows W,
 E = F - J W^T: the routine run once from zero rows on the targets [D | DS]
-(DS the design) gives [F | J], and each epoch is two products. Adaptive fusion
+(DS the design) gives [F | J], and each epoch is two products in place,
+E = F - W J^T and W += (eta E) DS, on contiguous F^T and J^T. Adaptive fusion
 multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
@@ -23,9 +24,14 @@ product of two of its rows with the increments made so far in the block (and
 a trailing 1) gives a step's pair, and one product applies the increments at
 the block's end. All of them match repeated sgd_step calls up to rounding.
 
-fit trains rows of parameters, one per head, and evaluates theta . phi from
-them after each epoch, in model._theta's layout. It writes the heads once,
-after the last epoch or, on divergence, from the last completed one.
+fit trains rows of parameters, one per head, and runs its epochs in chunks
+of CHUNK_EPOCHS: each epoch writes its rows (and adaptive coefficients) into
+a chunk buffer, and after the chunk's last epoch one stacked product
+theta . phi, in model._theta's layout, evaluates every epoch of the chunk,
+bit for bit as one product per epoch would. The operator epochs of a chunk
+are checked for divergence once, after the chunk; the first failing epoch
+replays from its starting rows by blocks. fit writes the heads once, after
+the last epoch or, on divergence, from the last completed one.
 
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
 autocorrelation matrix.
@@ -349,6 +355,9 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     parameters of the last completed epoch; a failure in epoch 1 leaves it as it was.
 
     fit trains one row of parameters per head and writes the heads at the end.
+    It evaluates the epochs a chunk of CHUNK_EPOCHS at a time, and checks the
+    error-operator epochs of fixed and co fusion (stable steps, dataset order)
+    once per chunk; neither changes a bit of the trace or the model.
     One scalar loop trains each adaptive head in turn over the epoch's order
     (heads share only the design, the order and each block's [Z Z^T | Z w],
     built once per fit in dataset order and once per epoch under shuffle);
