@@ -381,7 +381,7 @@ def _mode_from_dict(d: dict) -> FusionMode:
     if kind in ("fixed", "adaptive"):
         mode = FixedFusion if kind == "fixed" else AdaptiveFusion
         return mode(d["alpha_gaussian"], d["alpha_cosine"])
-    raise DataFormatError(f"unknown fusion kind {kind!r}")
+    raise ValueError(f"unknown fusion kind {kind!r}")
 
 
 def _bank_to_dict(bank: KernelBank) -> dict:
@@ -435,18 +435,26 @@ def save_model(model: RbfModel | MultiHeadRbfModel, path: str | os.PathLike) -> 
 
 
 def load_model(path: str | os.PathLike) -> RbfModel | MultiHeadRbfModel:
-    """Read a model written by save_model."""
+    """Read a model written by save_model.
+
+    A document that is not JSON, lacks a field or holds one it cannot read
+    raises DataFormatError; a well-formed model that breaks an invariant
+    raises InvalidModelError or InvalidConfigError.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        fmt = doc.get("format")
+        if fmt == MODEL_FORMAT:
+            bank = _bank_from_dict(doc["bank"])
+            return _head_from_dict(doc, bank)
+        if fmt == MULTIHEAD_FORMAT:
+            bank = _bank_from_dict(doc["bank"])
+            heads = [_head_from_dict(h, bank) for h in doc["heads"]]
+            return MultiHeadRbfModel(heads, tuple(doc["class_labels"]))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"not valid JSON: {exc}", path=str(path)) from exc
-    fmt = doc.get("format")
-    if fmt == MODEL_FORMAT:
-        bank = _bank_from_dict(doc["bank"])
-        return _head_from_dict(doc, bank)
-    if fmt == MULTIHEAD_FORMAT:
-        bank = _bank_from_dict(doc["bank"])
-        heads = [_head_from_dict(h, bank) for h in doc["heads"]]
-        return MultiHeadRbfModel(heads, tuple(doc["class_labels"]))
+    except (KeyError, AttributeError, ValueError, TypeError) as exc:
+        raise DataFormatError(f"malformed model document: {type(exc).__name__}: {exc}",
+                              path=str(path)) from exc
     raise DataFormatError(f"unsupported model format {fmt!r}", path=str(path))

@@ -24,14 +24,14 @@ product of two of its rows with the increments made so far in the block (and
 a trailing 1) gives a step's pair, and one product applies the increments at
 the block's end. All of them match repeated sgd_step calls up to rounding.
 
-fit trains rows of parameters, one per head, and runs its epochs in chunks
-of CHUNK_EPOCHS: each epoch writes its rows (and adaptive coefficients) into
-a chunk buffer, and after the chunk's last epoch one stacked product
-theta . phi, in model._theta's layout, evaluates every epoch of the chunk,
-bit for bit as one product per epoch would. The operator epochs of a chunk
-are checked for divergence once, after the chunk; the first failing epoch
-replays from its starting rows by blocks. fit writes the heads once, after
-the last epoch or, on divergence, from the last completed one.
+fit trains rows of parameters, one per head, and loops over chunks of
+CHUNK_EPOCHS epochs. Each epoch writes its rows (and adaptive coefficients)
+into a chunk buffer; one stacked product theta . phi, in model._theta's
+layout, then evaluates the chunk, bit for bit as one product per epoch
+would. Under the operator a chunk's epochs run first and are checked once;
+the first failing epoch and the rest of the chunk then train by blocks, as
+every epoch does otherwise. fit writes the heads once, after the last epoch
+or, on divergence, from the last completed one.
 
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
 autocorrelation matrix.
@@ -104,8 +104,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.eta > 0):
             raise InvalidConfigError(f"eta must be > 0, got {self.eta}")
-        if self.epochs < 1:
-            raise InvalidConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if (not isinstance(self.epochs, (int, np.integer)) or isinstance(self.epochs, bool)
+                or self.epochs < 1):
+            raise InvalidConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if self.init not in INIT_KINDS:
             raise InvalidConfigError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
         if not (self.init_scale >= 0):
@@ -182,11 +183,6 @@ def _first_failure(failed: list[DivergenceError], order) -> DivergenceError:
     errors = np.array([exc.error_value for exc in failed if exc.sample == first.sample])
     return DivergenceError(first.epoch, first.sample,
                            float(errors[np.argmax(np.abs(errors))]))
-
-
-def _block_indices(order: np.ndarray) -> list[np.ndarray]:
-    """Consecutive presentation blocks of at most BLOCK_SIZE sample indices."""
-    return [order[lo:lo + BLOCK_SIZE] for lo in range(0, len(order), BLOCK_SIZE)]
 
 
 def _linear_blocks(W: np.ndarray, DS: np.ndarray, Drows: np.ndarray, order, eta: float,
@@ -299,19 +295,17 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
     return e
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
+def _class_labels(labels, n_classes: int) -> np.ndarray:
+    """Class labels as indices; each must be a whole number in [0, n_classes)."""
+    labels = np.asarray(labels, dtype=np.float64)
     if labels.ndim != 1:
         raise DimensionMismatchError("class labels", 1, labels.ndim)
-    idx = labels.astype(np.int64)
-    if np.any(idx < 0) or np.any(idx >= n_classes):
+    # NaN fails the first test, +-inf the range
+    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= n_classes)
+    if bad.any():
         raise InvalidConfigError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{idx.min()}, {idx.max()}]"
-        )
-    out = np.zeros((n_classes, labels.shape[0]), dtype=np.float64)
-    out[idx, np.arange(labels.shape[0])] = 1.0
-    return out
+            f"labels must be whole numbers in [0, {n_classes}), got {float(labels[bad][0])!r}")
+    return labels.astype(np.int64)
 
 
 def _targets_matrix(model, D) -> tuple[np.ndarray, np.ndarray | None]:
@@ -320,8 +314,8 @@ def _targets_matrix(model, D) -> tuple[np.ndarray, np.ndarray | None]:
     if isinstance(model, MultiHeadRbfModel):
         C = model.n_classes
         if D.ndim == 1:
-            labels = np.asarray(D).astype(np.int64)
-            return _one_hot(labels, C), labels
+            labels = _class_labels(D, C)
+            return (np.arange(C)[:, None] == labels).astype(np.float64), labels
         if D.shape[0] != C:
             raise DimensionMismatchError("target rows vs heads", C, D.shape[0])
         return D, None
@@ -355,9 +349,10 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     parameters of the last completed epoch; a failure in epoch 1 leaves it as it was.
 
     fit trains one row of parameters per head and writes the heads at the end.
-    It evaluates the epochs a chunk of CHUNK_EPOCHS at a time, and checks the
-    error-operator epochs of fixed and co fusion (stable steps, dataset order)
-    once per chunk; neither changes a bit of the trace or the model.
+    It loops over chunks of CHUNK_EPOCHS epochs and evaluates each chunk by
+    one product. Error-operator epochs (fixed and co fusion, stable steps,
+    dataset order) are checked once per chunk; the first failing one and the
+    rest of its chunk train by blocks, which raise at the first failing sample.
     One scalar loop trains each adaptive head in turn over the epoch's order
     (heads share only the design, the order and each block's [Z Z^T | Z w],
     built once per fit in dataset order and once per epoch under shuffle);
@@ -393,7 +388,10 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if eval_set is not None and classification:
         X_eval, d_eval = eval_set
         eval_phi = kernel_matrix(np.asarray(X_eval, dtype=np.float64), bank)
-        eval_labels = np.asarray(d_eval).astype(np.int64)
+        eval_labels = _class_labels(d_eval, model.n_classes)
+        if len(eval_labels) != eval_phi.shape[1]:
+            raise DimensionMismatchError("eval labels vs samples", eval_phi.shape[1],
+                                         len(eval_labels))
 
     rng_init, rng_shuffle = map(np.random.default_rng,
                                 np.random.SeedSequence(cfg.seed).spawn(2))
@@ -429,9 +427,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if adaptive:
         P2 = np.stack((Pg.T, Pc.T), axis=1)
         q = np.empty(2)
-        # in dataset order every epoch presents the same blocks: build them once
-        fixed_blocks = None if cfg.shuffle else [
-            _gram_block(P2, Dmat, idx) for idx in _block_indices(np.arange(S))]
+        blocks = None
     else:
         # fixed and co fusion reduce to linear SGD on a precomputed design
         stable = eta * float(np.max(np.sum(DS * DS, axis=1))) <= 2.0
@@ -455,45 +451,41 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             if adaptive:
                 h.mode.alpha_gaussian, h.mode.alpha_cosine = alphas[c].tolist()
 
-    def operator_epochs(t0: int, n: int) -> None:
-        """Epochs t0 .. t0 + n - 1 of a chunk by the error operator, each
-        E = F - W J^T and W += (eta E) DS, with one check of their errors at
-        the end. The first epoch failing it replays from its starting rows by
-        blocks, which raises at its first failing sample; if it does not
-        raise (the check failed on rounding), the epochs after it run again."""
-        lo = 0
-        while lo < n:
-            # epochs after a failing one may overflow; they are thrown away
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(lo, n):
-                    E = Out[i]
-                    np.matmul(Rows[i], JT, out=E)
-                    np.subtract(FT, E, out=E)
-                    np.matmul(np.multiply(E, eta, out=G), DS, out=U)
-                    np.add(Rows[i], U, out=Rows[i + 1])
-            E = np.abs(Out[lo:n], out=Out[lo:n])
-            ok = E.reshape(n - lo, -1).max(axis=1) <= DIVERGENCE_LIMIT
-            if ok.all():
-                return
-            k = lo + int(np.argmin(ok))
-            Rows[k + 1] = Rows[k]
-            _linear_blocks(Rows[k + 1], DS, Drows, range(S), eta, width, t0 + k + 1)
-            lo = k + 1
-
     mse_lin = np.empty(cfg.epochs)
     train_acc = np.empty(cfg.epochs) if classification else None
     test_acc = np.empty(cfg.epochs) if eval_phi is not None else None
     try:
-        for t in range(cfg.epochs):
-            # epoch t trains Rows[i + 1] and Alphas[i + 1] from Rows[i] and Alphas[i]
-            i = t % C
-            W, alphas = Rows[i + 1], Alphas[i + 1]
-            if not operator:
+        for t0 in range(0, cfg.epochs, C):
+            # the chunk trains epochs t0 + 1 .. t0 + n; operator epochs
+            # 0 .. k - 1 pass their check, epochs k .. n - 1 train one by one
+            n, k = min(C, cfg.epochs - t0), 0
+            if operator:
+                # each epoch E = F - W J^T and W += (eta E) DS; epochs after a
+                # failing one may overflow, and they train again below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for i in range(n):
+                        E = Out[i]
+                        np.matmul(Rows[i], JT, out=E)
+                        np.subtract(FT, E, out=E)
+                        np.matmul(np.multiply(E, eta, out=G), DS, out=U)
+                        np.add(Rows[i], U, out=Rows[i + 1])
+                E = np.abs(Out[:n], out=Out[:n])
+                ok = E.reshape(n, -1).max(axis=1) <= DIVERGENCE_LIMIT
+                k = n if ok.all() else int(np.argmin(ok))
+            for i in range(k, n):
+                W, alphas = Rows[i + 1], Alphas[i + 1]
                 W[...], alphas[...] = Rows[i], Alphas[i]
-            order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
-            if adaptive:
-                blocks = fixed_blocks or [_gram_block(P2, Dmat, idx)
-                                          for idx in _block_indices(order)]
+                order = rng_shuffle.permutation(S) if cfg.shuffle else range(S)
+                if not adaptive:
+                    # by blocks (the failed operator epoch and the rest of its
+                    # chunk too); a failing block replays sample by sample and
+                    # raises at its first failing sample
+                    _linear_blocks(W, DS, Drows, order, eta, width, t0 + i + 1)
+                    continue
+                # in dataset order every epoch presents the same blocks: build them once
+                if blocks is None or cfg.shuffle:
+                    blocks = [_gram_block(P2, Dmat, order[lo:lo + BLOCK_SIZE])
+                              for lo in range(0, S, BLOCK_SIZE)]
                 # heads share only the design, the order and the blocks: each
                 # trains alone
                 failed: list[DivergenceError] = []
@@ -510,7 +502,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                                 sg, sc = A_j.dot(inc, q).tolist()
                                 e = d - (ag * sg + ac * sc + b)
                                 if not (abs(e) <= DIVERGENCE_LIMIT):
-                                    raise DivergenceError(t + 1, int(idx[j // 2]) + 1, e)
+                                    raise DivergenceError(t0 + i + 1, int(idx[j // 2]) + 1, e)
                                 step = eta * e
                                 inc[j] = step * ag
                                 inc[j + 1] = step * ac
@@ -523,17 +515,9 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     W[c, 0], alphas[c] = b, (ag, ac)
                 if failed:
                     raise _first_failure(failed, order)
-            elif not operator:
-                # by blocks; a failing block replays sample by sample and
-                # raises at its first failing sample
-                _linear_blocks(W, DS, Drows, order, eta, width, t + 1)
-            elif i == 0:
-                operator_epochs(t, min(C, cfg.epochs - t))
-            if i + 1 < C and t + 1 < cfg.epochs:
-                continue
-            # the chunk's last epoch: theta . phi of all of its epochs, in
-            # model._theta's layout, by one stacked product
-            n, done = i + 1, slice(t - i, t + 1)
+            # theta . phi of all of the chunk's epochs, in model._theta's
+            # layout, by one stacked product
+            done = slice(t0, t0 + n)
             W, alphas = Rows[1:n + 1], Alphas[1:n + 1]
             Theta = W if co else np.concatenate(
                 (W[..., :1], (alphas[..., mix, None] * W[..., None, 1:]).reshape(n, H, -1)),
@@ -552,8 +536,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     except DivergenceError as exc:
         # the failing epoch started from the last completed one's rows
         if exc.epoch > 1:
-            i = (exc.epoch - 1) % C
-            write_heads(Rows[i], Alphas[i])
+            write_heads(Rows[exc.epoch - 1 - t0], Alphas[exc.epoch - 1 - t0])
         raise
     write_heads(Rows[0], Alphas[0])
     return TrainTrace(

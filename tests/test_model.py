@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -343,4 +345,32 @@ class TestSerialization:
             load_model(path)
         path.write_text('{"format": "unknown/9"}')
         with pytest.raises(DataFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {k: v for k, v in doc.items() if k != "bank"},
+        lambda doc: {k: v for k, v in doc.items() if k != "bias"},
+        lambda doc: [doc],
+        lambda doc: {**doc, "bank": {**doc["bank"], "centers": "abc"}},
+        lambda doc: {**doc, "bias": "x"},
+        lambda doc: {**doc, "mode": {"kind": "x"}},
+    ], ids=["no-bank", "no-bias", "top-level-list", "text-centers", "text-bias",
+            "unknown-kind"])
+    def test_malformed_document_is_a_data_format_error(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(random_model(np.random.default_rng(41), CoFusion()), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(DataFormatError) as exc:
+            load_model(path)
+        assert exc.value.path == str(path)
+
+    def test_well_formed_invalid_model_is_an_invalid_model_error(self, tmp_path):
+        rng = np.random.default_rng(42)
+        bank = random_bank(rng)
+        heads = [RbfModel(bank, CoFusion(), rng.normal(size=(4, 2))) for _ in range(2)]
+        path = tmp_path / "multi.json"
+        save_model(MultiHeadRbfModel(heads), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "class_labels": ["x"]}))
+        with pytest.raises(InvalidModelError):
             load_model(path)

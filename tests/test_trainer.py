@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corbf import bench, trainer
-from corbf.errors import (DivergenceError, EmptyInputError, InvalidConfigError,
-                          InvalidModelError)
+from corbf.errors import (DimensionMismatchError, DivergenceError, EmptyInputError,
+                          InvalidConfigError, InvalidModelError)
 from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
                            kernel_matrix, kernel_vector)
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
@@ -235,6 +235,24 @@ class TestFit:
         with pytest.raises(Exception):
             fit(model, rng.normal(size=(2, 4)), rng.normal(size=5),
                 TrainConfig(eta=0.1, epochs=1))
+
+
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 3.0, np.nan, np.inf])
+    def test_rejects_labels_that_are_not_classes(self, bad):
+        # a training or eval label must be a whole number in [0, C)
+        model, X, _, eta = fit_problem("co", 3, 12, seed=70)
+        labels = np.arange(12) % 3.0
+        wrong = labels.copy()
+        wrong[4] = bad
+        for D, eval_set in ((wrong, None), (labels, (X, wrong))):
+            with pytest.raises(InvalidConfigError):
+                fit(model, X, D, TrainConfig(eta=eta, epochs=1), eval_set)
+
+    def test_rejects_eval_labels_of_another_count(self):
+        model, X, _, eta = fit_problem("co", 3, 12, seed=70)
+        labels = np.arange(12) % 3
+        with pytest.raises(DimensionMismatchError):
+            fit(model, X, labels, TrainConfig(eta=eta, epochs=1), (X, labels[:-1]))
 
 
 FIT_MODES = {"fixed": lambda: FixedFusion(0.3, 0.7), "co": CoFusion,
@@ -484,6 +502,37 @@ class TestBlockEngine:
         assert (exc.value.epoch, exc.value.sample) == (1, 201)
         np.testing.assert_array_equal(head_params(model), head_params(start))
 
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["co", "fixed"])
+    def test_operator_check_failing_without_divergence_trains_on(self, mode, n_heads,
+                                                                 monkeypatch):
+        # At bias and targets 1e300 every sequential error is exactly 0, yet
+        # F - W J^T cancels at 1e300 and fails the operator's check in every
+        # epoch. Each epoch then trains by blocks, which do not raise, and the
+        # second chunk goes back to the operator first.
+        model, X, D, eta = fit_problem(mode, n_heads, 40, frac=1.5, seed=64)
+        for h in (model.heads if n_heads > 1 else [model]):
+            h.bias = 1e300
+        D[...] = 1e300
+        start = model.copy()
+        cfg = TrainConfig(eta=eta, epochs=CHUNK_EPOCHS + 3, init="keep")
+        epochs_by_blocks = []
+        linear_blocks = trainer._linear_blocks
+
+        def spy(*args, **kwargs):
+            epochs_by_blocks.append(args[6])
+            linear_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_linear_blocks", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = fit(model, X, D, cfg)
+        # the unchecked build of [F | J], then every epoch
+        assert epochs_by_blocks == [None, *range(1, cfg.epochs + 1)]
+        np.testing.assert_array_equal(head_params(trace.final_model), head_params(start))
+        np.testing.assert_array_equal(trace.mse_linear, np.zeros(cfg.epochs))
+        assert_fit_matches_replay(start, X, D, cfg)
+
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
@@ -609,6 +658,10 @@ class TestTrainConfig:
             TrainConfig(eta=0.1, epochs=0)
         with pytest.raises(InvalidConfigError):
             TrainConfig(eta=0.1, epochs=1, init="gaussian")
+        for epochs in (2.5, True, "3"):
+            with pytest.raises(InvalidConfigError):
+                TrainConfig(eta=0.1, epochs=epochs)
+        assert TrainConfig(eta=0.1, epochs=np.int64(3)).epochs == 3
         assert TrainConfig(eta=0.1, epochs=1).effective_alpha_eta == 0.1
         assert TrainConfig(eta=0.1, epochs=1, alpha_eta=0.3).effective_alpha_eta == 0.3
 
