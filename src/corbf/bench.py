@@ -119,8 +119,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _is_int(value) or value < low:
                 raise InvalidConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-        if not ((_is_int(self.eta) or isinstance(self.eta, float)) and self.eta > 0.0):
-            raise InvalidConfigError(f"eta must be a number > 0, got {self.eta!r}")
+        if not ((_is_int(self.eta) or isinstance(self.eta, float))
+                and 0.0 < self.eta < np.inf):
+            raise InvalidConfigError(f"eta must be a finite number > 0, got {self.eta!r}")
         if self.funapprox_target not in FUNAPPROX_TARGETS:
             raise InvalidConfigError(
                 f"unknown funapprox target {self.funapprox_target!r}; "
@@ -201,41 +202,27 @@ def _problem(cfg: ExperimentConfig, run_seed: int) -> tuple:
 
 
 def _run_single(cfg: ExperimentConfig, arch: str, run: int) -> dict:
-    """Run `run` of arch under cfg. Run 0 also keeps the model-dependent
-    artifacts (error surfaces, predicted-vs-actual trace)."""
+    """Train run `run` of arch under cfg and measure it: its trace, which
+    carries the final model, and iris's per-phase metrics or funapprox's test
+    errors. The surfaces and traces that need a model are run_experiment's."""
     run_seed = cfg.seed + run
-    out: dict = {}
     try:
         X, D, bank, test = _problem(cfg, run_seed)
         if cfg.task == "iris":
             labels = test.class_labels
-            model = _multi_head(bank, arch, labels)
-            trace = fit(model, X, D, _train_config(cfg, run_seed),
-                        eval_set=(test.X, test.y))
-            out["metrics"] = {
+            trace = fit(_multi_head(bank, arch, labels), X, D,
+                        _train_config(cfg, run_seed), eval_set=(test.X, test.y))
+            return {"trace": trace, "metrics": {
                 "training": _phase_metrics(trace.final_model, X, D, labels),
-                "testing": _phase_metrics(trace.final_model, test.X, test.y, labels),
-            }
-        else:
-            trace = fit(_single_head(bank, arch), X, D, _train_config(cfg, run_seed))
-        final = trace.final_model
-        if cfg.task == "funapprox":
-            out["test_errors"] = test.y - forward_batch(final, test.X)
-            if run == 0:
-                truth = funapprox_target(cfg.funapprox_target)
-                out["surfaces"] = {
-                    "train": error_surface(final, [(-1.0, 1.0), (-1.0, 1.0)], 0.2, truth),
-                    "test": error_surface(final, [(-0.9, 0.9), (-0.9, 0.9)], 0.2, truth),
-                }
-        elif cfg.task == "sysid" and run == 0:
-            out["trace_pairs"] = {"input": test.u, "actual": test.y_clean,
-                                  "predicted": forward_batch(final, X)}
+                "testing": _phase_metrics(trace.final_model, test.X, test.y, labels)}}
+        trace = fit(_single_head(bank, arch), X, D, _train_config(cfg, run_seed))
     except DivergenceError as exc:
-        out["diverged"] = {"epoch": exc.epoch, "sample": exc.sample,
-                           "error_value": exc.error_value}
-        return out
-    out["trace"] = trace
-    return out
+        return {"diverged": {"epoch": exc.epoch, "sample": exc.sample,
+                             "error_value": exc.error_value}}
+    if cfg.task == "funapprox":
+        return {"trace": trace,
+                "test_errors": test.y - forward_batch(trace.final_model, test.X)}
+    return {"trace": trace}
 
 
 def curve_name(task: str, arch: str, run_index: int) -> str:
@@ -367,6 +354,11 @@ def ProcessPoolExecutor(max_workers: int):
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run the experiment, write artifacts into cfg.out_dir, return exit status.
 
+    One loop writes each architecture that completed a run: its run and mean
+    curves, and the funapprox surfaces and test errors or the sysid trace.
+    The surfaces and the trace are of its first completed run's final model,
+    so a diverged run 0 leaves them to run 1 and so on.
+
     0 = success (possibly with some diverged runs, noted in the manifest);
     1 = every run of every architecture diverged. Invalid configurations raise
     InvalidConfigError (the CLI maps that to exit status 2).
@@ -404,37 +396,34 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         written.append(name)
         return os.path.join(cfg.out_dir, name)
 
-    for arch in cfg.architectures:
+    ran = [a for a in cfg.architectures if completed[a]]
+    for arch in ran:
         for run, res in completed[arch]:
             write_trace_csv(res["trace"], _path(curve_name(cfg.task, arch, run)))
-        if completed[arch]:
-            write_trace_csv(_mean_curve_trace([r for _, r in completed[arch]]),
-                            _path(mean_curve_name(cfg.task, arch)))
+        write_trace_csv(_mean_curve_trace([r for _, r in completed[arch]]),
+                        _path(mean_curve_name(cfg.task, arch)))
+        run, res = completed[arch][0]
+        final = res["trace"].final_model
+        if cfg.task == "funapprox":
+            truth = funapprox_target(cfg.funapprox_target)
+            for split, box in (("train", (-1.0, 1.0)), ("test", (-0.9, 0.9))):
+                _write_surface_csv(_path(f"funapprox_{arch}_{split}_surface.csv"),
+                                   error_surface(final, [box, box], 0.2, truth))
+            _write_test_errors_csv(_path(f"funapprox_{arch}_test_errors.csv"),
+                                   {run: r["test_errors"] for run, r in completed[arch]})
+        elif cfg.task == "sysid":
+            X, _, _, signal = _problem(cfg, cfg.seed + run)
+            _write_sysid_trace_csv(_path(f"sysid_{arch}_trace.csv"),
+                                   {"input": signal.u, "actual": signal.y_clean,
+                                    "predicted": forward_batch(final, X)})
 
-    if cfg.task == "iris":
-        per_arch = {a: [r for _, r in completed[a]] for a in cfg.architectures
-                    if completed[a]}
-        if per_arch:
-            tables = _iris_metric_rows(per_arch)
-            for key, formatter in (("accuracy", format_percent),
-                                   ("sensitivity", format_percent),
-                                   ("specificity", format_percent),
-                                   ("youden", format_youden)):
-                write_metric_table(_path(f"iris_{key}.csv"), tables[key], formatter)
-    else:
-        # run 0's surfaces or trace, if it completed, and funapprox's test errors
-        for arch in (a for a in cfg.architectures if completed[a]):
-            first = completed[arch][0][1]
-            if "surfaces" in first:
-                for split in ("train", "test"):
-                    _write_surface_csv(_path(f"funapprox_{arch}_{split}_surface.csv"),
-                                       first["surfaces"][split])
-            if cfg.task == "funapprox":
-                _write_test_errors_csv(_path(f"funapprox_{arch}_test_errors.csv"),
-                                       {run: r["test_errors"] for run, r in completed[arch]})
-            if "trace_pairs" in first:
-                _write_sysid_trace_csv(_path(f"sysid_{arch}_trace.csv"),
-                                       first["trace_pairs"])
+    if cfg.task == "iris" and ran:
+        tables = _iris_metric_rows({a: [r for _, r in completed[a]] for a in ran})
+        for key, formatter in (("accuracy", format_percent),
+                               ("sensitivity", format_percent),
+                               ("specificity", format_percent),
+                               ("youden", format_youden)):
+            write_metric_table(_path(f"iris_{key}.csv"), tables[key], formatter)
 
     from . import __version__
     manifest = {**asdict(cfg), **_fixed_settings(cfg),
@@ -450,8 +439,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    all_diverged = all(not completed[a] for a in cfg.architectures)
-    return 1 if all_diverged else 0
+    return 0 if ran else 1
 
 
 def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
@@ -570,7 +558,8 @@ def compare_report(results_dir: str | os.PathLike) -> str:
 
     rows: list[tuple[str, str, str]] = []
     if cfg.task == "iris":
-        table = _read_metric_table(os.path.join(results_dir, "iris_accuracy.csv"))
+        table = _read_metric_table(
+            os.path.join(results_dir, "iris_accuracy.csv")) if ran else []
         acc = {(r["architecture"], r["phase"]): (r["mean"], r["std"]) for r in table}
         rows += [(f"iris {phase} accuracy % ({arch})", _fmt(acc.get((arch, phase))),
                   _fmt(reference.REPORTED_IRIS_ACCURACY.get((arch, phase))))

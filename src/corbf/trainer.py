@@ -102,17 +102,20 @@ class TrainConfig:
     alpha_eta: float | None = None
 
     def __post_init__(self):
-        if not (self.eta > 0):
-            raise InvalidConfigError(f"eta must be > 0, got {self.eta}")
-        if (not isinstance(self.epochs, (int, np.integer)) or isinstance(self.epochs, bool)
-                or self.epochs < 1):
-            raise InvalidConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        if not (0 < self.eta < np.inf):
+            raise InvalidConfigError(f"eta must be finite and > 0, got {self.eta}")
+        for key, low in (("epochs", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < low):
+                raise InvalidConfigError(f"{key} must be an integer >= {low}, got {value!r}")
         if self.init not in INIT_KINDS:
             raise InvalidConfigError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
-        if not (self.init_scale >= 0):
-            raise InvalidConfigError(f"init_scale must be >= 0, got {self.init_scale}")
-        if self.alpha_eta is not None and not (self.alpha_eta > 0):
-            raise InvalidConfigError(f"alpha_eta must be > 0, got {self.alpha_eta}")
+        if not (0 <= self.init_scale < np.inf):
+            raise InvalidConfigError(f"init_scale must be finite and >= 0, "
+                                     f"got {self.init_scale}")
+        if self.alpha_eta is not None and not (0 < self.alpha_eta < np.inf):
+            raise InvalidConfigError(f"alpha_eta must be finite and > 0, got {self.alpha_eta}")
 
     @property
     def effective_alpha_eta(self) -> float:

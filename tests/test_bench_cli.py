@@ -16,9 +16,10 @@ from corbf.bench import (ARCHITECTURES, IRIS_INFLUENCE, MANIFEST_NAME,
                          expected_artifacts, mean_curve_name,
                          read_surface_csv, read_test_errors_csv,
                          run_experiment)
-from corbf.errors import (DataFormatError, InvalidConfigError,
+from corbf.errors import (DataFormatError, DivergenceError, InvalidConfigError,
                           MissingArtifactsError, _read_csv)
 from corbf.metrics import write_metric_table
+from corbf.model import AdaptiveFusion, CoFusion, FixedFusion, MultiHeadRbfModel
 from corbf.tasks import plant_response
 from corbf.trainer import TrainTrace, read_trace_csv, write_trace_csv
 
@@ -96,6 +97,8 @@ class TestExperimentConfig:
                dict(epochs=0),
                dict(eta=0.0),
                dict(eta=-1.0),
+               dict(eta=float("inf")),
+               dict(eta=float("nan")),
                dict(runs="2"),
                dict(seed="0"),
                dict(seed=-1),
@@ -440,6 +443,54 @@ class TestReportAgreesWithCriteria:
             ORDERING_CHECK: finals["co"] <= finals["adaptive"]}
 
 
+# (arch, run) -> whether that run diverges; the exit status run returns
+DIVERGENCE_SCENARIOS = {
+    "none": (lambda arch, run: False, 0),
+    "run0": (lambda arch, run: run == 0, 0),
+    "co": (lambda arch, run: arch == "co", 0),
+    "all": (lambda arch, run: True, 1),
+}
+ARCH_OF_MODE = {FixedFusion: "manual", AdaptiveFusion: "adaptive", CoFusion: "co"}
+
+
+class TestReportReadsEveryRunDirectory:
+    @pytest.mark.parametrize("scenario", DIVERGENCE_SCENARIOS)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_report_reads_what_run_wrote(self, task, scenario, monkeypatch, tmp_path):
+        diverges, status = DIVERGENCE_SCENARIOS[scenario]
+        real_fit = bench.fit
+
+        def fit(model, X, D, train, **kwargs):
+            # the root seed is 0, so a run's seed is its index
+            head = model.heads[0] if isinstance(model, MultiHeadRbfModel) else model
+            if diverges(ARCH_OF_MODE[type(head.mode)], train.seed):
+                raise DivergenceError(epoch=1, sample=1, error_value=1e13)
+            return real_fit(model, X, D, train, **kwargs)
+
+        monkeypatch.setattr(bench, "fit", fit)
+        out = tmp_path / "out"
+        assert cli.main(["run", task, "--runs", "3", "--epochs", "3", "--jobs", "1",
+                         "--out", str(out)]) == status
+        manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert sorted(os.listdir(out)) == manifest["artifacts"]
+        text = compare_report(out)
+        for arch in ARCHITECTURES:
+            all_diverged = all(diverges(arch, run) for run in range(3))
+            assert (f"{arch}: all runs diverged" in text) == all_diverged, arch
+        if scenario == "run0" and task != "iris":
+            # run 1 is the first completed run, the same seeded run as run 0
+            # of a --seed 1 experiment
+            monkeypatch.setattr(bench, "fit", real_fit)
+            ref = tmp_path / "seed1"
+            assert cli.main(["run", task, "--runs", "1", "--epochs", "3", "--seed", "1",
+                             "--out", str(ref)]) == 0
+            names = [n for n in manifest["artifacts"] if n.endswith(("surface.csv",
+                                                                    "trace.csv"))]
+            assert len(names) == (6 if task == "funapprox" else 3)
+            for name in names:
+                assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
 class TestCompareReportErrors:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(MissingArtifactsError) as exc:
@@ -714,9 +765,10 @@ class TestCli:
         assert "respects the bound" in out
 
     def test_invalid_config_exits_2(self, capsys):
-        rc = cli.main(["run", "iris", "--runs", "0"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        for args in (["iris", "--runs", "0"], ["sysid", "--eta", "inf", "--runs", "1"]):
+            rc = cli.main(["run", *args])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_report_on_empty_dir_exits_2(self, tmp_path, capsys):
         rc = cli.main(["report", str(tmp_path)])

@@ -661,7 +661,16 @@ class TestTrainConfig:
         for epochs in (2.5, True, "3"):
             with pytest.raises(InvalidConfigError):
                 TrainConfig(eta=0.1, epochs=epochs)
+        for seed in (-1, 1.5, True, "0"):
+            with pytest.raises(InvalidConfigError):
+                TrainConfig(eta=0.1, epochs=1, seed=seed)
+        for key in ("eta", "alpha_eta", "init_scale"):
+            for value in (np.inf, np.nan):
+                with pytest.raises(InvalidConfigError):
+                    TrainConfig(**{"eta": 0.1, "epochs": 1, key: value})
         assert TrainConfig(eta=0.1, epochs=np.int64(3)).epochs == 3
+        assert TrainConfig(eta=0.1, epochs=1, seed=np.int64(2)).seed == 2
+        assert TrainConfig(eta=0.1, epochs=1, init_scale=0.0).init_scale == 0.0
         assert TrainConfig(eta=0.1, epochs=1).effective_alpha_eta == 0.1
         assert TrainConfig(eta=0.1, epochs=1, alpha_eta=0.3).effective_alpha_eta == 0.3
 
