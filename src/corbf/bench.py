@@ -35,7 +35,7 @@ from .model import (AdaptiveFusion, CoFusion, FixedFusion, MultiHeadRbfModel,
                     RbfModel, forward_batch)
 from .tasks import (DEFAULT_FUNAPPROX_TARGET, FUNAPPROX_TARGETS, funapprox_target,
                     gen_function_approx, gen_sysid, load_iris)
-from .trainer import (TrainConfig, TrainTrace, fit,
+from .trainer import (TrainConfig, TrainTrace, _check_rate, fit,
                       learning_rate_bound, write_trace_csv, read_trace_csv)
 
 TASKS = ("iris", "funapprox", "sysid")
@@ -119,9 +119,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _is_int(value) or value < low:
                 raise InvalidConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-        if not ((_is_int(self.eta) or isinstance(self.eta, float))
-                and 0.0 < self.eta < np.inf):
-            raise InvalidConfigError(f"eta must be a finite number > 0, got {self.eta!r}")
+        _check_rate("eta", self.eta, types=(int, float))  # JSON: no NumPy scalars
         if self.funapprox_target not in FUNAPPROX_TARGETS:
             raise InvalidConfigError(
                 f"unknown funapprox target {self.funapprox_target!r}; "
@@ -654,10 +652,8 @@ def bound_probe(task: str, seed: int = 0, eta: float | None = None,
                 sysid_centers: str = "symmetric") -> dict:
     """Compute the stable-learning-rate bound 1/lambda_max for a task's
     default design and flag whether the task's learning rate respects it."""
-    cfg = ExperimentConfig(task, funapprox_target=funapprox_target_name,
+    cfg = ExperimentConfig(task, seed=seed, eta=eta, funapprox_target=funapprox_target_name,
                            sysid_centers=sysid_centers)
-    X, _, bank, _ = _problem(cfg, seed)
+    X, _, bank, _ = _problem(cfg, cfg.seed)
     bound = learning_rate_bound(kernel_matrix(X, bank))
-    eta_used = cfg.eta if eta is None else eta
-    return {"task": task, "bound": bound, "eta": eta_used,
-            "respects": bool(eta_used <= bound)}
+    return {"task": task, "bound": bound, "eta": cfg.eta, "respects": bool(cfg.eta <= bound)}

@@ -130,20 +130,35 @@ class RbfModel:
         return RbfModel(self.bank, mode, self.weights.copy(), self.bias)
 
 
-def _theta(model: RbfModel) -> np.ndarray:
-    """Flat parameters [b, vec(W)] in kernel_vector's layout: output = theta . phi.
+def _params(heads: list[RbfModel]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [b, vec(weights^T)], one per head (theta under CoFusion, [b, w]
+    otherwise), and alphas, each head's (Gaussian, cosine) coefficients,
+    shape (H, 0) under CoFusion."""
+    rows = np.array([np.concatenate(([h.bias], h.weights.T.ravel())) for h in heads])
+    return rows, np.array([[] if isinstance(h.mode, CoFusion) else
+                           [h.mode.alpha_gaussian, h.mode.alpha_cosine] for h in heads])
 
-    W is the (K, L) matrix of per-center, per-kernel weights, stacked one
-    kernel column after another. Under CoFusion it is model.weights; fixed
-    and adaptive fusion are its rank-one case W = w alpha^T, whose column l
-    is alpha_l * w.
-    """
-    if isinstance(model.mode, CoFusion):
-        columns = model.weights.T
-    else:
-        columns = [getattr(model.mode, f"alpha_{name}") * model.weights
-                   for name in model.bank.kernel_order]
-    return np.concatenate(([model.bias], *columns))
+
+def _set_params(heads: list[RbfModel], rows: np.ndarray, alphas: np.ndarray) -> None:
+    """Write rows and alphas of _params' layout into the heads (coefficients
+    into adaptive heads only)."""
+    for h, row, alpha in zip(heads, rows, alphas):
+        h.bias, h.weights = float(row[0]), row[1:].reshape(h.weights.T.shape).T.copy()
+        if isinstance(h.mode, AdaptiveFusion):
+            h.mode.alpha_gaussian, h.mode.alpha_cosine = alpha.tolist()
+
+
+def _thetas(rows: np.ndarray, alphas: np.ndarray, bank: KernelBank) -> np.ndarray:
+    """theta = [b, vec(W)] in kernel_vector's layout, output = theta . phi, for
+    rows and alphas of _params' layout with any leading axes. W is the (K, L)
+    matrix of per-center, per-kernel weights: the rows hold it under CoFusion,
+    and fixed and adaptive fusion are its rank-one case W = w alpha^T, whose
+    column l is alpha_l * w."""
+    if alphas.shape[-1] == 0:
+        return rows
+    mix = [("gaussian", "cosine").index(name) for name in bank.kernel_order]
+    W = (alphas[..., mix, None] * rows[..., None, 1:]).reshape(*rows.shape[:-1], -1)
+    return np.concatenate((rows[..., :1], W), axis=-1)
 
 
 def _outputs(heads: list[RbfModel], Phi: np.ndarray) -> np.ndarray:
@@ -151,9 +166,10 @@ def _outputs(heads: list[RbfModel], Phi: np.ndarray) -> np.ndarray:
 
     A BLAS product sums a column in an order that depends on how many columns
     it is given, so the products are summed along the samples-as-rows layout
-    instead: column j equals the one-column call bit for bit.
+    instead: column j equals the one-column call bit for bit. Heads may mix
+    fusion modes, so each builds its own theta.
     """
-    Theta = np.array([_theta(h) for h in heads])
+    Theta = np.concatenate([_thetas(*_params([h]), h.bank) for h in heads])
     return np.sum(Theta[:, np.newaxis, :] * np.ascontiguousarray(Phi.T), axis=2)
 
 
@@ -245,7 +261,7 @@ def center_contributions(model: RbfModel, x: np.ndarray) -> np.ndarray:
     to forward(model, x) - bias.
     """
     phi = kernel_vector(x, model.bank)
-    terms = _theta(model)[1:] * phi[1:]
+    terms = _thetas(*_params([model]), model.bank)[0, 1:] * phi[1:]
     return terms.reshape(model.bank.n_kernels, model.bank.n_centers).sum(axis=0)
 
 

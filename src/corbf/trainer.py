@@ -24,10 +24,11 @@ product of two of its rows with the increments made so far in the block (and
 a trailing 1) gives a step's pair, and one product applies the increments at
 the block's end. All of them match repeated sgd_step calls up to rounding.
 
-fit trains rows of parameters, one per head, and loops over chunks of
-CHUNK_EPOCHS epochs. Each epoch writes its rows (and adaptive coefficients)
-into a chunk buffer; one stacked product theta . phi, in model._theta's
-layout, then evaluates the chunk, bit for bit as one product per epoch
+fit trains rows of parameters, one per head (model._params reads them,
+model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
+epochs. Each epoch writes its rows (and adaptive coefficients) into a chunk
+buffer; model._thetas builds theta for the whole chunk, and one stacked
+product theta . phi evaluates it, bit for bit as one product per epoch
 would. Under the operator a chunk's epochs run first and are checked once;
 the first failing epoch and the rest of the chunk then train by blocks, as
 every epoch does otherwise. fit writes the heads once, after the last epoch
@@ -62,7 +63,9 @@ from .model import (
     FixedFusion,
     MultiHeadRbfModel,
     RbfModel,
-    _theta,
+    _params,
+    _set_params,
+    _thetas,
 )
 
 DIVERGENCE_LIMIT = 1e12
@@ -80,6 +83,20 @@ BLOCK_SIZE = 128
 CHUNK_EPOCHS = 128
 
 INIT_KINDS = ("uniform", "zeros", "keep")
+
+
+def _check_rate(name: str, value, zero: bool = False,
+                types: tuple = (int, float, np.integer, np.floating)) -> None:
+    """Raise InvalidConfigError unless value is one of types, not a bool, and
+    converts to a finite float > 0 (>= 0 if zero)."""
+    try:
+        v = float(value) if isinstance(value, types) and not isinstance(value, bool) else np.nan
+    except OverflowError:
+        raise InvalidConfigError(f"{name} must be a finite number, got an int too large "
+                                 "for a float") from None
+    if not (0.0 < v < np.inf or zero and v == 0.0):
+        raise InvalidConfigError(
+            f"{name} must be a finite number {'>=' if zero else '>'} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +119,9 @@ class TrainConfig:
     alpha_eta: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.eta < np.inf):
-            raise InvalidConfigError(f"eta must be finite and > 0, got {self.eta}")
+        _check_rate("eta", self.eta)
+        if not isinstance(self.shuffle, bool):
+            raise InvalidConfigError(f"shuffle must be a bool, got {self.shuffle!r}")
         for key, low in (("epochs", 1), ("seed", 0)):
             value = getattr(self, key)
             if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
@@ -111,11 +129,9 @@ class TrainConfig:
                 raise InvalidConfigError(f"{key} must be an integer >= {low}, got {value!r}")
         if self.init not in INIT_KINDS:
             raise InvalidConfigError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
-        if not (0 <= self.init_scale < np.inf):
-            raise InvalidConfigError(f"init_scale must be finite and >= 0, "
-                                     f"got {self.init_scale}")
-        if self.alpha_eta is not None and not (0 < self.alpha_eta < np.inf):
-            raise InvalidConfigError(f"alpha_eta must be finite and > 0, got {self.alpha_eta}")
+        _check_rate("init_scale", self.init_scale, zero=True)
+        if self.alpha_eta is not None:
+            _check_rate("alpha_eta", self.alpha_eta)
 
     @property
     def effective_alpha_eta(self) -> float:
@@ -251,50 +267,37 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
     """One per-sample update, in place; returns the pre-update error e.
 
     Ordering: output first, then e = d - output, then every parameter
-    increment computed from pre-update values. Under CoFusion each
-    (center, kernel) weight moves by eta*e times its own response; under
-    Fixed/Adaptive each center weight moves by eta*e times the mixed response;
-    Adaptive additionally moves the two mixing coefficients by alpha_eta*e
-    times the corresponding unmixed response sums. epoch and sample only label
-    a DivergenceError; fit's engines are checked against this step.
+    increment computed from pre-update values. Every mode moves its row of
+    model._params, [b, weights], by eta*e times its design row: the kernel
+    vector under CoFusion, so each (center, kernel) weight moves by its own
+    response, and [1, mixed responses] under Fixed/Adaptive. Adaptive
+    additionally moves the two mixing coefficients by alpha_eta*e times the
+    corresponding unmixed response sums. epoch and sample only label a
+    DivergenceError; fit's engines are checked against this step.
     """
-    if not (eta > 0):
-        raise InvalidConfigError(f"eta must be > 0, got {eta}")
+    _check_rate("eta", eta)
     a_eta = eta if alpha_eta is None else alpha_eta
-    phi = kernel_vector(x, model.bank)
-    bank = model.bank
-    if isinstance(model.mode, CoFusion):
-        w_full = _theta(model)
-        y = float(np.dot(w_full, phi))
-        e = float(d) - y
-        _guard(e, epoch, sample)
-        w_full += (eta * e) * phi
-        model.bias = float(w_full[0])
-        model.weights = w_full[1:].reshape((bank.n_kernels, bank.n_centers)).T.copy()
-        return e
-    pg, pc = _gaussian_cosine(phi[1:].reshape(bank.n_kernels, bank.n_centers), bank)
-    ag, ac = model.mode.alpha_gaussian, model.mode.alpha_cosine
-    if isinstance(model.mode, FixedFusion):
+    _check_rate("alpha_eta", a_eta)
+    bank, adaptive = model.bank, isinstance(model.mode, AdaptiveFusion)
+    phi = kernel_vector(x, bank)
+    rows, alphas = _params([model])
+    g = phi
+    if not isinstance(model.mode, CoFusion):
+        pg, pc = _gaussian_cosine(phi[1:].reshape(bank.n_kernels, bank.n_centers), bank)
+        ag, ac = alphas[0].tolist()
         g = np.concatenate(([1.0], ag * pg + ac * pc))
-        w_full = np.concatenate(([model.bias], model.weights))
-        y = float(np.dot(w_full, g))
-        e = float(d) - y
-        _guard(e, epoch, sample)
-        w_full += (eta * e) * g
-        model.bias = float(w_full[0])
-        model.weights = w_full[1:].copy()
-        return e
-    # adaptive: weight/bias moves use pre-update coefficients, coefficient
-    # moves use pre-update weights
-    sg = float(np.dot(model.weights, pg))
-    sc = float(np.dot(model.weights, pc))
-    y = ag * sg + ac * sc + model.bias
+    if adaptive:
+        sg, sc = float(np.dot(model.weights, pg)), float(np.dot(model.weights, pc))
+        y = ag * sg + ac * sc + model.bias
+    else:
+        y = float(np.dot(rows[0], g))
     e = float(d) - y
     _guard(e, epoch, sample)
-    model.weights = model.weights + (eta * e) * (ag * pg + ac * pc)
-    model.bias = float(model.bias + eta * e)
-    model.mode.alpha_gaussian = float(ag + a_eta * e * sg)
-    model.mode.alpha_cosine = float(ac + a_eta * e * sc)
+    rows[0] += (eta * e) * g
+    if adaptive:
+        # coefficient moves use the pre-update weights
+        alphas[0] = ag + a_eta * e * sg, ac + a_eta * e * sc
+    _set_params([model], rows, alphas)
     return e
 
 
@@ -373,9 +376,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if any(type(h.mode) is not type(mode) for h in heads):
         raise InvalidModelError("all heads must use the same fusion mode")
     co, adaptive = isinstance(mode, CoFusion), isinstance(mode, AdaptiveFusion)
-    # each head's mixing coefficients (Gaussian, cosine); co has none
-    alphas = np.array([[] if co else [h.mode.alpha_gaussian, h.mode.alpha_cosine]
-                       for h in heads], dtype=np.float64)
+    rows, alphas = _params(heads)
     if isinstance(mode, FixedFusion) and np.any(alphas != alphas[0]):
         raise InvalidModelError("fixed-fusion heads must share coefficients")
     Dmat, labels = _targets_matrix(model, D)
@@ -403,16 +404,12 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     truth = None if not classification else (
         labels if labels is not None else np.argmax(Dmat, axis=0))
 
-    # the trained rows, one per head: theta for co, [b, w] otherwise
-    Q = bank.vector_len if co else 1 + K
-    W = np.array([(_theta(h) if co else np.concatenate(([h.bias], h.weights)))
-                  if cfg.init == "keep" else _draw_init(rng_init, cfg, Q) for h in heads])
+    W = rows if cfg.init == "keep" else np.array(
+        [_draw_init(rng_init, cfg, rows.shape[1]) for _ in heads])
     if co:
         DS = np.ascontiguousarray(Phi.T)
     else:
         Pg, Pc = _gaussian_cosine(Phi[1:].reshape(L, K, S), bank)
-        # theta's kernel blocks, alpha_l * w, follow bank.kernel_order
-        mix = [("gaussian", "cosine").index(name) for name in bank.kernel_order]
         if not adaptive:
             DS = np.empty((S, 1 + K))
             DS[:, 0] = 1.0
@@ -446,13 +443,6 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                            width, None, out=FJ)
             FT, JT = (np.ascontiguousarray(M.T) for M in np.split(FJ, [H], axis=1))
             G, U = np.empty((H, S)), np.empty(W.shape)
-
-    def write_heads(W: np.ndarray, alphas: np.ndarray) -> None:
-        for c, h in enumerate(heads):
-            h.bias = float(W[c, 0])
-            h.weights = W[c, 1:].reshape((L, K)).T.copy() if co else W[c, 1:].copy()
-            if adaptive:
-                h.mode.alpha_gaussian, h.mode.alpha_cosine = alphas[c].tolist()
 
     mse_lin = np.empty(cfg.epochs)
     train_acc = np.empty(cfg.epochs) if classification else None
@@ -518,13 +508,9 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     W[c, 0], alphas[c] = b, (ag, ac)
                 if failed:
                     raise _first_failure(failed, order)
-            # theta . phi of all of the chunk's epochs, in model._theta's
-            # layout, by one stacked product
+            # theta . phi of all of the chunk's epochs by one stacked product
             done = slice(t0, t0 + n)
-            W, alphas = Rows[1:n + 1], Alphas[1:n + 1]
-            Theta = W if co else np.concatenate(
-                (W[..., :1], (alphas[..., mix, None] * W[..., None, 1:]).reshape(n, H, -1)),
-                axis=2)
+            Theta = _thetas(Rows[1:n + 1], Alphas[1:n + 1], bank)
             Y = np.matmul(Theta, Phi, out=Out[:n])
             if classification:
                 train_acc[done] = np.mean(np.argmax(Y, axis=1) == truth, axis=1)
@@ -539,9 +525,9 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     except DivergenceError as exc:
         # the failing epoch started from the last completed one's rows
         if exc.epoch > 1:
-            write_heads(Rows[exc.epoch - 1 - t0], Alphas[exc.epoch - 1 - t0])
+            _set_params(heads, Rows[exc.epoch - 1 - t0], Alphas[exc.epoch - 1 - t0])
         raise
-    write_heads(Rows[0], Alphas[0])
+    _set_params(heads, Rows[0], Alphas[0])
     return TrainTrace(
         epochs=np.arange(1, cfg.epochs + 1, dtype=np.int64),
         mse_linear=mse_lin,

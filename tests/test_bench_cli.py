@@ -104,6 +104,7 @@ class TestExperimentConfig:
                dict(seed=-1),
                dict(epochs=2.5),
                dict(eta="0.1"),
+               dict(eta=10**400),
                dict(jobs=True),
                dict(architectures=2),
                dict(funapprox_target="nope"),
@@ -731,6 +732,11 @@ class TestBoundProbe:
     def test_eta_override_can_violate(self):
         probe = bound_probe("sysid", eta=5.0)
         assert probe["respects"] is False
+
+    def test_eta_and_seed_validated(self):
+        for kwargs in (dict(eta=-1.0), dict(eta=0.0), dict(seed=-1), dict(seed=1.5)):
+            with pytest.raises(InvalidConfigError):
+                bound_probe("sysid", **kwargs)
 
     def test_unknown_task(self):
         with pytest.raises(InvalidConfigError):

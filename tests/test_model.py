@@ -9,6 +9,7 @@ from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
                            cosine_kernel, gaussian_kernel, kernel_vector)
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
                          MultiHeadRbfModel, RbfModel, Scenario4Center,
+                         _params, _set_params, _thetas,
                          center_contributions, discriminative_power, forward,
                          forward_batch, load_model, multiclass_decision,
                          save_model)
@@ -309,6 +310,77 @@ class TestScenario:
         psi_r = discriminative_power(
             RbfModel(bank, CoFusion(), W), sc.test_point, sc.partition())
         assert abs(psi_r) > 1e-3
+
+
+class TestParams:
+    """_params, _set_params and _thetas: the one head <-> row <-> theta layout."""
+
+    ORDERS = [("gaussian", "cosine"), ("cosine", "gaussian")]
+
+    @staticmethod
+    def heads(rng, mode, order, H, K=4):
+        bank = KernelBank(rng.normal(size=(3, K)), GaussianParams(1.0), CosineParams(),
+                          kernel_order=order)
+        out = []
+        for _ in range(H):
+            if mode == "co":
+                m, w = CoFusion(), rng.normal(size=(K, 2))
+            elif mode == "fixed":
+                m, w = FixedFusion(0.25, 0.75), rng.normal(size=K)
+            else:
+                m, w = AdaptiveFusion(*rng.normal(size=2).tolist()), rng.normal(size=K)
+            out.append(RbfModel(bank, m, w, bias=float(rng.normal())))
+        return out
+
+    @pytest.mark.parametrize("H", [1, 3])
+    @pytest.mark.parametrize("order", ORDERS, ids="-".join)
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_set_params_of_params_is_identity(self, mode, order, H):
+        heads = self.heads(np.random.default_rng(60), mode, order, H)
+        before = [(h.weights.copy(), h.bias, vars(h.mode).copy()) for h in heads]
+        rows, alphas = _params(heads)
+        assert rows.shape == (H, 1 + heads[0].weights.size)
+        assert alphas.shape == (H, 0 if mode == "co" else 2)
+        _set_params(heads, rows, alphas)
+        for h, (w, b, m) in zip(heads, before):
+            np.testing.assert_array_equal(h.weights, w)
+            assert h.weights.shape == w.shape and h.weights.flags.c_contiguous
+            assert h.bias == b and vars(h.mode) == m
+
+    @pytest.mark.parametrize("order", ORDERS, ids="-".join)
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_thetas_match_the_forward_pass(self, mode, order):
+        rng = np.random.default_rng(61)
+        (head,) = self.heads(rng, mode, order, 1)
+        x = rng.normal(size=3)
+        theta = _thetas(*_params([head]), head.bank)[0]
+        np.testing.assert_allclose(theta @ kernel_vector(x, head.bank),
+                                   double_sum_oracle(head, x), rtol=1e-12)
+
+    def test_heads_of_mixed_modes(self):
+        # MultiHeadRbfModel does not require one mode, and rows then differ in length
+        rng = np.random.default_rng(63)
+        (co,) = self.heads(rng, "co", self.ORDERS[0], 1)
+        fixed = RbfModel(co.bank, FixedFusion(0.25, 0.75), rng.normal(size=4), bias=0.5)
+        x = rng.normal(size=3)
+        np.testing.assert_array_equal(MultiHeadRbfModel([co, fixed]).forward(x),
+                                      [forward(co, x), forward(fixed, x)])
+
+    @pytest.mark.parametrize("order", ORDERS, ids="-".join)
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_stacked_thetas_equal_per_head_thetas(self, mode, order):
+        rng = np.random.default_rng(62)
+        heads = self.heads(rng, mode, order, 3)
+        rows, alphas = _params(heads)
+        n = 5
+        rows = rows + rng.normal(size=(n, *rows.shape))
+        alphas = alphas + rng.normal(size=(n, *alphas.shape))
+        stacked = _thetas(rows, alphas, heads[0].bank)
+        assert stacked.shape == (n, 3, heads[0].bank.vector_len)
+        for i in range(n):
+            for c in range(3):
+                np.testing.assert_array_equal(
+                    stacked[i, c], _thetas(rows[i, c], alphas[i, c], heads[0].bank))
 
 
 class TestSerialization:

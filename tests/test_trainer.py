@@ -117,6 +117,56 @@ class TestSgdStep:
         np.testing.assert_allclose(mode.alpha_cosine, 0.5 + alpha_eta * e * sum_c,
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("order", [("gaussian", "cosine"), ("cosine", "gaussian")],
+                             ids="-".join)
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_matches_hand_written_update(self, mode, order):
+        # given the step's e, every parameter moves exactly as written out here
+        rng = np.random.default_rng(46)
+        bank = KernelBank(rng.normal(size=(2, 3)), GaussianParams(1.0), CosineParams(),
+                          kernel_order=order)
+        ag, ac = (0.3, 0.7) if mode == "fixed" else (0.6, -0.2)
+        fusion = {"co": CoFusion, "fixed": FixedFusion, "adaptive": AdaptiveFusion}[mode]
+        model = make_model(rng, bank, fusion() if mode == "co" else fusion(ag, ac))
+        w, b = model.weights.copy(), model.bias
+        x, d, eta, alpha_eta = rng.normal(size=2), float(rng.normal()), 0.05, 0.02
+        # each kernel's responses, blocks of kernel_vector in kernel_order
+        resp = dict(zip(order, kernel_vector(x, bank)[1:].reshape(2, 3)))
+        y = forward(model, x)
+        e = sgd_step(model, x, d, eta, alpha_eta)
+        np.testing.assert_allclose(e, d - y, rtol=1e-12, atol=1e-15)
+        step = eta * e
+        assert model.bias == b + step
+        if mode == "co":
+            expected = w + step * np.stack([resp[name] for name in order], axis=1)
+        else:
+            expected = w + step * (ag * resp["gaussian"] + ac * resp["cosine"])
+        np.testing.assert_array_equal(model.weights, expected)
+        if mode == "adaptive":
+            assert model.mode.alpha_gaussian == ag + alpha_eta * e * float(
+                np.dot(w, resp["gaussian"]))
+            assert model.mode.alpha_cosine == ac + alpha_eta * e * float(
+                np.dot(w, resp["cosine"]))
+        elif mode == "fixed":
+            assert (model.mode.alpha_gaussian, model.mode.alpha_cosine) == (ag, ac)
+
+    @pytest.mark.parametrize("rates", [dict(eta=np.inf), dict(eta=10**400), dict(eta=0.0),
+                                       dict(alpha_eta=np.nan), dict(alpha_eta=np.inf),
+                                       dict(alpha_eta=-1.0)],
+                             ids=["eta-inf", "eta-huge-int", "eta-zero", "alpha_eta-nan",
+                                  "alpha_eta-inf", "alpha_eta-negative"])
+    def test_rates_checked_as_train_config(self, rates):
+        rng = np.random.default_rng(47)
+        model = make_model(rng, small_bank(rng), AdaptiveFusion(0.5, 0.5))
+        before = snapshot(model)
+        with pytest.raises(InvalidConfigError, match=next(iter(rates))):
+            sgd_step(model, rng.normal(size=2), 1.0, **{"eta": 0.1, **rates})
+        after = snapshot(model)
+        np.testing.assert_array_equal(before[0], after[0])
+        assert before[1:] == after[1:]
+        with pytest.raises(InvalidConfigError):
+            TrainConfig(**{"eta": 0.1, "epochs": 1, **rates})
+
     def test_divergence_guard_trips(self):
         rng = np.random.default_rng(45)
         bank = small_bank(rng)
@@ -665,9 +715,13 @@ class TestTrainConfig:
             with pytest.raises(InvalidConfigError):
                 TrainConfig(eta=0.1, epochs=1, seed=seed)
         for key in ("eta", "alpha_eta", "init_scale"):
-            for value in (np.inf, np.nan):
-                with pytest.raises(InvalidConfigError):
+            # 10**400 compares below inf but does not convert to a float
+            for value in (np.inf, np.nan, 10**400):
+                with pytest.raises(InvalidConfigError, match=key):
                     TrainConfig(**{"eta": 0.1, "epochs": 1, key: value})
+        for shuffle in ("no", 0, None):
+            with pytest.raises(InvalidConfigError, match="shuffle"):
+                TrainConfig(eta=0.1, epochs=1, shuffle=shuffle)
         assert TrainConfig(eta=0.1, epochs=np.int64(3)).epochs == 3
         assert TrainConfig(eta=0.1, epochs=1, seed=np.int64(2)).seed == 2
         assert TrainConfig(eta=0.1, epochs=1, init_scale=0.0).init_scale == 0.0
