@@ -6,8 +6,9 @@ task-specific outputs (iris metric tables, function-approximation error
 surfaces and test-error listings, system-identification predicted-vs-actual
 traces), plus one JSON manifest describing the whole experiment: the fields
 of its ExperimentConfig (except out_dir), the settings every run of the task
-fixes, and what the runs did. config_from_manifest reads the config back by
-the same fields. Re-running it reproduces the curve files byte for byte:
+fixes, what the runs did and the environment they ran in (versions, cores,
+BLAS thread variables). config_from_manifest reads the config back by the
+same fields. Re-running it reproduces the curve files byte for byte:
 every random stream derives from seed + run_index and aggregation order is
 fixed by run index, never by completion order. Each run's results keep the
 arrays training and evaluation produced; the artifact writers turn them into
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
@@ -427,6 +429,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     manifest = {**asdict(cfg), **_fixed_settings(cfg),
                 "format": MANIFEST_FORMAT,
                 "version": __version__,
+                "environment": _environment(__version__),
                 "run_seeds": [cfg.seed + r for r in range(cfg.runs)],
                 "divergences": divergences,
                 "divergence_count": sum(len(v) for v in divergences.values()),
@@ -438,6 +441,17 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         fh.write("\n")
 
     return 0 if ran else 1
+
+
+def _environment(version: str) -> dict:
+    """What a run's bits depend on besides its settings: the Python, NumPy and
+    corbf versions, the core count and the BLAS thread variables (None when
+    unset) the run saw; with several BLAS threads the curves differ in their
+    last digits. Recorded in the manifest, never read back."""
+    return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+            "corbf": version, "cpu_count": os.cpu_count(),
+            **{key: os.environ.get(key) for key in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:

@@ -199,7 +199,9 @@ class MultiHeadRbfModel:
     """One output head per class, all sharing a single kernel bank.
 
     Heads are trained against one-hot targets; predicted class is the argmax
-    head output with lowest-index tie-break.
+    head output with lowest-index tie-break. Heads may use different fusion
+    modes: such a model evaluates, saves and loads, but fit trains one mode
+    at a time and raises InvalidModelError for it.
     """
 
     heads: list[RbfModel]

@@ -20,9 +20,14 @@ multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
 carries the projections Z w at its starting weights as a spare column, so one
-product of two of its rows with the increments made so far in the block (and
-a trailing 1) gives a step's pair, and one product applies the increments at
-the block's end. All of them match repeated sgd_step calls up to rounding.
+product of four of its rows with the increments made so far in the block (and
+a trailing 1) gives the projections of a pair of samples, the first sample's
+step moves the second's by four Gram entries, and one product applies the
+increments at the block's end. All of them match repeated sgd_step calls up
+to rounding. Before an adaptive divergence the errors grow faster than
+exponentially, so rounding can move the failing value far more: when the
+adaptive loop fails, fit replays the epochs up to the failing one with
+sgd_step and reports its failure.
 
 fit trains rows of parameters, one per head (model._params reads them,
 model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
@@ -250,16 +255,45 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
 
     P2[s] holds sample s's Gaussian and cosine rows. Returns idx, the block's
     stacked rows Z (row 2i is sample i's Gaussian row, 2i + 1 its cosine row),
-    A = [Z Z^T | r], its Gram matrix with one spare last column r, the rows
-    of A in pairs (one (2, 2n + 1) view per sample) and the targets as lists,
-    one per head. The loop writes a head's projections Z w into r; then for
-    the block's increments so far followed by 1.0, each pair of rows of A
-    gives that sample's projections in one product.
+    A = [Z Z^T | r], its Gram matrix with one spare last column r (and two
+    zero rows more when the block is odd), the block's pairs and each head's
+    targets. The loop writes a head's projections Z w into r; then for the
+    block's increments so far followed by 1.0, the four rows of A of samples
+    2p and 2p + 1 give both samples' projections in one product. Pair p is
+    (4p, those rows, the Gram entries A[4p + 2:4p + 4, 4p:4p + 2] that couple
+    sample 2p + 1 to sample 2p's increments); its targets are one (d, d')
+    per head, with d' None for an odd block's last sample.
     """
-    Z = P2[idx].reshape(2 * len(idx), -1)
-    A = np.empty((len(Z), len(Z) + 1))
-    np.matmul(Z, Z.T, out=A[:, :-1])
-    return idx, Z, A, list(A.reshape(len(idx), 2, -1)), Dmat[:, idx].tolist()
+    n = len(idx)
+    Z = P2[idx].reshape(2 * n, -1)
+    A = np.zeros((2 * (n + n % 2), 2 * n + 1))
+    np.matmul(Z, Z.T, out=A[:2 * n, :-1])
+    pairs = [(j, A[j:j + 4], *A[j + 2:j + 4, j:j + 2].ravel().tolist())
+             for j in range(0, 2 * n, 4)]
+    return idx, Z, A, pairs, [list(zip(d[::2], d[1::2] + [None]))
+                              for d in Dmat[:, idx].tolist()]
+
+
+def _replay(heads: list, X: np.ndarray, Dmat: np.ndarray, cfg: TrainConfig,
+            rows: np.ndarray, alphas: np.ndarray, epochs: int) -> DivergenceError | None:
+    """The divergence of epochs 1..epochs of fit as sgd_step steps them: copies
+    of heads train from rows and alphas, each epoch in the order fit drew
+    from its shuffle stream. Returns the first failure (None if none)."""
+    heads = [h.copy() for h in heads]
+    _set_params(heads, rows, alphas)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    for t in range(1, epochs + 1):
+        order = rng.permutation(X.shape[1]) if cfg.shuffle else range(X.shape[1])
+        failed: list[DivergenceError] = []
+        for h, d in zip(heads, Dmat):
+            try:
+                for s in order:
+                    sgd_step(h, X[:, s], d[s], cfg.eta, cfg.alpha_eta, t, int(s) + 1)
+            except DivergenceError as exc:
+                failed.append(exc)
+        if failed:
+            return _first_failure(failed, order)
+    return None
 
 
 def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
@@ -359,11 +393,18 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     one product. Error-operator epochs (fixed and co fusion, stable steps,
     dataset order) are checked once per chunk; the first failing one and the
     rest of its chunk train by blocks, which raise at the first failing sample.
-    One scalar loop trains each adaptive head in turn over the epoch's order
-    (heads share only the design, the order and each block's [Z Z^T | Z w],
-    built once per fit in dataset order and once per epoch under shuffle);
-    the block engine trains all fixed or co heads at once. Fixed and adaptive
-    fusion need a Gaussian and a cosine kernel (InvalidModelError); co does not.
+    One scalar loop trains each adaptive head in turn over the epoch's order,
+    two samples per product (heads share only the design, the order and each
+    block's [Z Z^T | Z w], built once per fit in dataset order and once per
+    epoch under shuffle); the block engine trains all fixed or co heads at
+    once. When the adaptive loop fails in epoch t, fit replays epochs 1..t
+    with sgd_step from the starting rows and coefficients, each in the order
+    drawn from a fresh shuffle stream of the same seed, and raises the
+    replay's (epoch, sample, value) if the replay fails in epoch t, its own
+    otherwise; the replay costs one sgd_step per head and presented sample.
+    Fixed and adaptive fusion need a Gaussian and a cosine kernel
+    (InvalidModelError); co does not. Heads of different fusion modes are
+    refused (InvalidModelError).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -406,6 +447,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
 
     W = rows if cfg.init == "keep" else np.array(
         [_draw_init(rng_init, cfg, rows.shape[1]) for _ in heads])
+    start = W, alphas
     if co:
         DS = np.ascontiguousarray(Phi.T)
     else:
@@ -426,7 +468,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     operator = False
     if adaptive:
         P2 = np.stack((Pg.T, Pc.T), axis=1)
-        q = np.empty(2)
+        q = np.empty(4)
         blocks = None
     else:
         # fixed and co fusion reduce to linear SGD on a precomputed design
@@ -485,23 +527,39 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                 for c in range(len(heads)):
                     w, b, (ag, ac) = W[c, 1:], float(W[c, 0]), alphas[c].tolist()
                     try:
-                        for idx, Z, A, A_rows, targets in blocks:
-                            # w moves only by inc @ Z here, so sample i's projections
-                            # are rows 2i, 2i + 1 of [Z Z^T | Z w] times [inc, 1]
-                            A[:, -1] = Z @ w
+                        for idx, Z, A, pairs, targets in blocks:
+                            # w moves only by inc @ Z here, so the projections of
+                            # samples 2p, 2p + 1 before pair p are rows 4p..4p + 3
+                            # of [Z Z^T | Z w] times [inc, 1]; sample 2p's step
+                            # then moves sample 2p + 1's by the Gram entries c
+                            A[:len(Z), -1] = Z @ w
                             inc = np.zeros(len(Z) + 1)
                             inc[-1] = 1.0
-                            for j, A_j, d in zip(range(0, len(Z), 2), A_rows, targets[c]):
-                                sg, sc = A_j.dot(inc, q).tolist()
+                            mv = memoryview(inc)
+                            for (j, Q, cgg, cgc, ccg, ccc), (d, d1) in zip(pairs, targets[c]):
+                                sg, sc, sg1, sc1 = Q.dot(inc, q).tolist()
                                 e = d - (ag * sg + ac * sc + b)
                                 if not (abs(e) <= DIVERGENCE_LIMIT):
                                     raise DivergenceError(t0 + i + 1, int(idx[j // 2]) + 1, e)
                                 step = eta * e
-                                inc[j] = step * ag
-                                inc[j + 1] = step * ac
+                                mv[j] = ig = step * ag
+                                mv[j + 1] = ic = step * ac
                                 b += step
                                 ag += a_eta * e * sg
                                 ac += a_eta * e * sc
+                                if d1 is None:
+                                    break
+                                sg1 += cgg * ig + cgc * ic
+                                sc1 += ccg * ig + ccc * ic
+                                e = d1 - (ag * sg1 + ac * sc1 + b)
+                                if not (abs(e) <= DIVERGENCE_LIMIT):
+                                    raise DivergenceError(t0 + i + 1, int(idx[j // 2 + 1]) + 1, e)
+                                step = eta * e
+                                mv[j + 2] = step * ag
+                                mv[j + 3] = step * ac
+                                b += step
+                                ag += a_eta * e * sg1
+                                ac += a_eta * e * sc1
                             w += inc[:-1] @ Z
                     except DivergenceError as exc:
                         failed.append(exc)
@@ -526,6 +584,12 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         # the failing epoch started from the last completed one's rows
         if exc.epoch > 1:
             _set_params(heads, Rows[exc.epoch - 1 - t0], Alphas[exc.epoch - 1 - t0])
+        if adaptive:
+            # the paired steps round otherwise than sgd_step: report its
+            # failure when it fails in the same epoch
+            replay = _replay(heads, X, Dmat, cfg, *start, exc.epoch)
+            if replay is not None and replay.epoch == exc.epoch:
+                raise replay from None
         raise
     _set_params(heads, Rows[0], Alphas[0])
     return TrainTrace(
