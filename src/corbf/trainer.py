@@ -264,12 +264,14 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
     sample 2p + 1 to sample 2p's increments); its targets are one (d, d')
     per head, with d' None for an odd block's last sample.
     """
-    n = len(idx)
+    n, m = len(idx), (len(idx) + 1) // 2
     Z = P2[idx].reshape(2 * n, -1)
-    A = np.zeros((2 * (n + n % 2), 2 * n + 1))
+    A = np.empty((4 * m, 2 * n + 1))
+    A[2 * n:] = 0.0
     np.matmul(Z, Z.T, out=A[:2 * n, :-1])
-    pairs = [(j, A[j:j + 4], *A[j + 2:j + 4, j:j + 2].ravel().tolist())
-             for j in range(0, 2 * n, 4)]
+    j = 4 * np.arange(m)[:, None, None]
+    C = A[j + [[2], [3]], j + [0, 1]].reshape(m, 4)
+    pairs = list(zip(range(0, 4 * m, 4), A.reshape(m, 4, -1), *C.T.tolist()))
     return idx, Z, A, pairs, [list(zip(d[::2], d[1::2] + [None]))
                               for d in Dmat[:, idx].tolist()]
 
@@ -535,6 +537,8 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                             A[:len(Z), -1] = Z @ w
                             inc = np.zeros(len(Z) + 1)
                             inc[-1] = 1.0
+                            # a store through a memoryview costs about half a
+                            # NumPy scalar setitem
                             mv = memoryview(inc)
                             for (j, Q, cgg, cgc, ccg, ccc), (d, d1) in zip(pairs, targets[c]):
                                 sg, sc, sg1, sc1 = Q.dot(inc, q).tolist()

@@ -164,25 +164,6 @@ class TestFunapproxArtifacts:
             "corbf": corbf.__version__, "cpu_count": os.cpu_count(),
             **{key: os.environ.get(key) for key in threads}}
 
-    def test_config_from_manifest_reads_a_manifest_without_environment(self, tmp_path):
-        # a manifest as written before it recorded its environment, by
-        # `corbf run sysid --runs 2 --epochs 300`
-        manifest = {
-            "alpha_eta": None, "architectures": ["manual", "adaptive", "co"],
-            "artifacts": ["manifest.json"] + [
-                f"sysid_{arch}_{name}.csv" for arch in ("adaptive", "co", "manual")
-                for name in ("mean_curve", "run00_curve", "run01_curve", "trace")],
-            "divergence_count": 0, "divergences": {"adaptive": [], "co": [], "manual": []},
-            "epochs": 300, "eta": 0.0001, "format": "corbf-manifest/1",
-            "funapprox_target": "exp-x1sq-minus-x2sq", "init": "uniform",
-            "init_scale": 0.1, "jobs": 1, "run_seeds": [0, 1], "runs": 2, "seed": 0,
-            "shuffle": False, "sigma": 0.5, "sysid_centers": "symmetric", "task": "sysid",
-            "version": "0.1.0", "wall_clock_sec": 1.972}
-        path = tmp_path / MANIFEST_NAME
-        path.write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
-        assert config_from_manifest(path) == ExperimentConfig(
-            task="sysid", runs=2, epochs=300, out_dir=str(tmp_path))
-
     def test_curve_rows_match_epochs(self, tiny_funapprox):
         for arch in ARCHITECTURES:
             per_run = read_trace_csv(tiny_funapprox / curve_name("funapprox", arch, 0))
@@ -746,6 +727,25 @@ class TestDeterminism:
         for name in os.listdir(first):
             if name != MANIFEST_NAME:
                 assert (first / name).read_bytes() == (rerun_dir / name).read_bytes(), name
+
+    def test_config_from_manifest_reads_a_manifest_without_environment(self, tmp_path):
+        # a manifest as written before it recorded its environment, by
+        # `corbf run sysid --runs 2 --epochs 300`
+        manifest = {
+            "alpha_eta": None, "architectures": ["manual", "adaptive", "co"],
+            "artifacts": ["manifest.json"] + [
+                f"sysid_{arch}_{name}.csv" for arch in ("adaptive", "co", "manual")
+                for name in ("mean_curve", "run00_curve", "run01_curve", "trace")],
+            "divergence_count": 0, "divergences": {"adaptive": [], "co": [], "manual": []},
+            "epochs": 300, "eta": 0.0001, "format": "corbf-manifest/1",
+            "funapprox_target": "exp-x1sq-minus-x2sq", "init": "uniform",
+            "init_scale": 0.1, "jobs": 1, "run_seeds": [0, 1], "runs": 2, "seed": 0,
+            "shuffle": False, "sigma": 0.5, "sysid_centers": "symmetric", "task": "sysid",
+            "version": "0.1.0", "wall_clock_sec": 1.972}
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
+        assert config_from_manifest(path) == ExperimentConfig(
+            task="sysid", runs=2, epochs=300, out_dir=str(tmp_path))
 
 
 class TestBoundProbe:
