@@ -23,11 +23,14 @@ carries the projections Z w at its starting weights as a spare column, so one
 product of four of its rows with the increments made so far in the block (and
 a trailing 1) gives the projections of a pair of samples, the first sample's
 step moves the second's by four Gram entries, and one product applies the
-increments at the block's end. All of them match repeated sgd_step calls up
-to rounding. Before an adaptive divergence the errors grow faster than
+increments at the block's end. A pair whose samples repeat the row of the
+sample before it (a square-wave input holds one row for many samples) needs
+no product: that sample's projections, moved by its own step through the
+same four entries, are the pair's. All of them match repeated sgd_step calls
+up to rounding. Before an adaptive divergence the errors grow faster than
 exponentially, so rounding can move the failing value far more: when the
-adaptive loop fails, fit replays the epochs up to the failing one with
-sgd_step and reports its failure.
+adaptive loop fails, fit replays the epochs up to the failing one by
+sgd_step's arithmetic and reports its failure.
 
 fit trains rows of parameters, one per head (model._params reads them,
 model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
@@ -263,39 +266,85 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
     (4p, those rows, the Gram entries A[4p + 2:4p + 4, 4p:4p + 2] that couple
     sample 2p + 1 to sample 2p's increments); its targets are one (d, d')
     per head, with d' None for an odd block's last sample.
+
+    Pair p >= 1 is chained, and holds None for its rows, when samples
+    2p - 1, 2p and 2p + 1 (2p - 1 and 2p at an odd block's end) have
+    bit-equal rows: sample 2p's projections are then sample 2p - 1's moved
+    by that sample's own step, through the same four Gram entries, so the
+    loop needs no product. An odd block's last pair has no sample 2p + 1,
+    so its entries couple sample 2p to sample 2p - 1 instead.
     """
     n, m = len(idx), (len(idx) + 1) // 2
-    Z = P2[idx].reshape(2 * n, -1)
+    R = P2[idx]
+    Z = R.reshape(2 * n, -1)
     A = np.empty((4 * m, 2 * n + 1))
     A[2 * n:] = 0.0
     np.matmul(Z, Z.T, out=A[:2 * n, :-1])
-    j = 4 * np.arange(m)[:, None, None]
-    C = A[j + [[2], [3]], j + [0, 1]].reshape(m, 4)
-    pairs = list(zip(range(0, 4 * m, 4), A.reshape(m, 4, -1), *C.T.tolist()))
+    j = 4 * np.arange(m)
+    if n % 2 and m > 1:
+        j[-1] -= 2
+    C = A[j[:, None, None] + [[2], [3]], j[:, None, None] + [0, 1]].reshape(m, 4)
+    # same[s]: sample s repeats sample s - 1's row (and a sample past the
+    # end repeats any)
+    same = np.ones(2 * m + 1, dtype=bool)
+    same[0] = False
+    same[1:n] = (R[1:] == R[:-1]).all(axis=(1, 2))
+    rows = [None if chained else Q for chained, Q in
+            zip(same[:-1:2] & same[1::2], A.reshape(m, 4, -1))]
+    pairs = list(zip(range(0, 4 * m, 4), rows, *C.T.tolist()))
     return idx, Z, A, pairs, [list(zip(d[::2], d[1::2] + [None]))
                               for d in Dmat[:, idx].tolist()]
 
 
 def _replay(heads: list, X: np.ndarray, Dmat: np.ndarray, cfg: TrainConfig,
             rows: np.ndarray, alphas: np.ndarray, epochs: int) -> DivergenceError | None:
-    """The divergence of epochs 1..epochs of fit as sgd_step steps them: copies
-    of heads train from rows and alphas, each epoch in the order fit drew
-    from its shuffle stream. Returns the first failure (None if none)."""
-    heads = [h.copy() for h in heads]
-    _set_params(heads, rows, alphas)
+    """The divergence of epochs 1..epochs of fit as sgd_step steps them:
+    copies of rows and alphas train by sgd_step's arithmetic, each epoch in
+    the order fit drew from its shuffle stream. Returns the first failure
+    (None if none)."""
+    bank, mode = heads[0].bank, heads[0].mode
+    # kernel_matrix's columns are kernel_vector's, bit for bit
+    Phi = np.ascontiguousarray(kernel_matrix(X, bank).T)
+    rows, alphas = rows.copy(), alphas.copy()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
     for t in range(1, epochs + 1):
         order = rng.permutation(X.shape[1]) if cfg.shuffle else range(X.shape[1])
         failed: list[DivergenceError] = []
-        for h, d in zip(heads, Dmat):
+        for row, alpha, d in zip(rows, alphas, Dmat.tolist()):
             try:
                 for s in order:
-                    sgd_step(h, X[:, s], d[s], cfg.eta, cfg.alpha_eta, t, int(s) + 1)
+                    _step(row, alpha, Phi[s], d[s], cfg.eta, cfg.effective_alpha_eta,
+                          bank, mode, t, int(s) + 1)
             except DivergenceError as exc:
                 failed.append(exc)
         if failed:
             return _first_failure(failed, order)
     return None
+
+
+def _step(row: np.ndarray, alpha: np.ndarray, phi: np.ndarray, d: float, eta: float,
+          a_eta: float, bank, mode, epoch: int, sample: int) -> float:
+    """sgd_step's update of one head's row of model._params and its
+    coefficients alpha (both in place) by the kernel vector phi; returns e."""
+    g = phi
+    if not isinstance(mode, CoFusion):
+        pg, pc = _gaussian_cosine(phi[1:].reshape(bank.n_kernels, bank.n_centers), bank)
+        ag, ac = alpha.tolist()
+        g = np.concatenate(([1.0], ag * pg + ac * pc))
+    adaptive = isinstance(mode, AdaptiveFusion)
+    if adaptive:
+        w = row[1:]
+        sg, sc = float(np.dot(w, pg)), float(np.dot(w, pc))
+        y = ag * sg + ac * sc + float(row[0])
+    else:
+        y = float(np.dot(row, g))
+    e = float(d) - y
+    _guard(e, epoch, sample)
+    row += (eta * e) * g
+    if adaptive:
+        # coefficient moves use the pre-update weights
+        alpha[:] = ag + a_eta * e * sg, ac + a_eta * e * sc
+    return e
 
 
 def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
@@ -314,25 +363,9 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
     _check_rate("eta", eta)
     a_eta = eta if alpha_eta is None else alpha_eta
     _check_rate("alpha_eta", a_eta)
-    bank, adaptive = model.bank, isinstance(model.mode, AdaptiveFusion)
-    phi = kernel_vector(x, bank)
     rows, alphas = _params([model])
-    g = phi
-    if not isinstance(model.mode, CoFusion):
-        pg, pc = _gaussian_cosine(phi[1:].reshape(bank.n_kernels, bank.n_centers), bank)
-        ag, ac = alphas[0].tolist()
-        g = np.concatenate(([1.0], ag * pg + ac * pc))
-    if adaptive:
-        sg, sc = float(np.dot(model.weights, pg)), float(np.dot(model.weights, pc))
-        y = ag * sg + ac * sc + model.bias
-    else:
-        y = float(np.dot(rows[0], g))
-    e = float(d) - y
-    _guard(e, epoch, sample)
-    rows[0] += (eta * e) * g
-    if adaptive:
-        # coefficient moves use the pre-update weights
-        alphas[0] = ag + a_eta * e * sg, ac + a_eta * e * sc
+    e = _step(rows[0], alphas[0], kernel_vector(x, model.bank), d, eta, a_eta,
+              model.bank, model.mode, epoch, sample)
     _set_params([model], rows, alphas)
     return e
 
@@ -396,14 +429,17 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     dataset order) are checked once per chunk; the first failing one and the
     rest of its chunk train by blocks, which raise at the first failing sample.
     One scalar loop trains each adaptive head in turn over the epoch's order,
-    two samples per product (heads share only the design, the order and each
-    block's [Z Z^T | Z w], built once per fit in dataset order and once per
-    epoch under shuffle); the block engine trains all fixed or co heads at
-    once. When the adaptive loop fails in epoch t, fit replays epochs 1..t
-    with sgd_step from the starting rows and coefficients, each in the order
-    drawn from a fresh shuffle stream of the same seed, and raises the
-    replay's (epoch, sample, value) if the replay fails in epoch t, its own
-    otherwise; the replay costs one sgd_step per head and presented sample.
+    two samples per product, and none for a chained pair, whose samples
+    repeat the row of the sample before them (heads share only the design,
+    the order and each block's [Z Z^T | Z w] and chained pairs, built once
+    per fit in dataset order and once per epoch under shuffle); the block
+    engine trains all fixed or co heads at once. When the adaptive loop
+    fails in epoch t, fit replays epochs 1..t with sgd_step's arithmetic
+    from the starting rows and coefficients, on a design evaluated once,
+    each in the order drawn from a fresh shuffle stream of the same seed,
+    and raises the replay's (epoch, sample, value) if the replay fails in
+    epoch t, its own otherwise; the replay costs one such step per head and
+    presented sample.
     Fixed and adaptive fusion need a Gaussian and a cosine kernel
     (InvalidModelError); co does not. Heads of different fusion modes are
     refused (InvalidModelError).
@@ -541,7 +577,13 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                             # NumPy scalar setitem
                             mv = memoryview(inc)
                             for (j, Q, cgg, cgc, ccg, ccc), (d, d1) in zip(pairs, targets[c]):
-                                sg, sc, sg1, sc1 = Q.dot(inc, q).tolist()
+                                if Q is None:
+                                    # chained: samples 2p - 1, 2p (and 2p + 1)
+                                    # share a row, and ig, ic are 2p - 1's
+                                    sg1 = sg = sg1 + cgg * ig + cgc * ic
+                                    sc1 = sc = sc1 + ccg * ig + ccc * ic
+                                else:
+                                    sg, sc, sg1, sc1 = Q.dot(inc, q).tolist()
                                 e = d - (ag * sg + ac * sc + b)
                                 if not (abs(e) <= DIVERGENCE_LIMIT):
                                     raise DivergenceError(t0 + i + 1, int(idx[j // 2]) + 1, e)
@@ -559,8 +601,8 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                                 if not (abs(e) <= DIVERGENCE_LIMIT):
                                     raise DivergenceError(t0 + i + 1, int(idx[j // 2 + 1]) + 1, e)
                                 step = eta * e
-                                mv[j + 2] = step * ag
-                                mv[j + 3] = step * ac
+                                mv[j + 2] = ig = step * ag
+                                mv[j + 3] = ic = step * ac
                                 b += step
                                 ag += a_eta * e * sg1
                                 ac += a_eta * e * sc1

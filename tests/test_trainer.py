@@ -350,6 +350,19 @@ def fit_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0,
     return MultiHeadRbfModel(heads), X, rng.normal(size=(n_heads, S)), eta
 
 
+def chained_pairs(X, bank):
+    """(chained, all) pairs of the adaptive loop's blocks over the columns of
+    X in dataset order."""
+    S = X.shape[1]
+    Phi = kernel_matrix(X, bank)
+    Pg, Pc = trainer._gaussian_cosine(Phi[1:].reshape(bank.n_kernels, bank.n_centers, S),
+                                      bank)
+    P2 = np.stack((Pg.T, Pc.T), axis=1)
+    pairs = [pair for lo in range(0, S, BLOCK_SIZE) for pair in trainer._gram_block(
+        P2, np.zeros((1, S)), np.arange(lo, min(lo + BLOCK_SIZE, S)))[3]]
+    return sum(Q is None for _, Q, *_ in pairs), len(pairs)
+
+
 def head_params(model):
     heads = model.heads if isinstance(model, MultiHeadRbfModel) else [model]
     return np.concatenate([np.concatenate(([h.bias], np.ravel(h.weights),
@@ -525,18 +538,50 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("n_heads", [1, 3])
-    @pytest.mark.parametrize("S,position", [
-        pytest.param(3, 1, id="second-of-pair"),
-        pytest.param(BLOCK_SIZE + 1, 51, id="second-of-pair-in-long-block"),
-        pytest.param(3, 2, id="odd-block-end"),
-        pytest.param(BLOCK_SIZE + 1, BLOCK_SIZE, id="one-sample-block")])
-    def test_adaptive_divergence_in_a_pair(self, S, position, n_heads, shuffle,
-                                           monkeypatch):
+    @pytest.mark.parametrize("run", [2, 3, 20, BLOCK_SIZE - 1, BLOCK_SIZE + 1])
+    def test_adaptive_chains_match_sequential_steps(self, run, n_heads, shuffle):
+        # inputs repeat in runs of run samples, so in dataset order pairs
+        # chain (runs of 2 never hold the three equal rows a pair needs);
+        # runs cross block ends, and the last block is odd and, for runs of
+        # 127 and 129, ends on a chained half pair
+        S = 2 * BLOCK_SIZE + 45
+        model, X, D, eta = fit_problem("adaptive", n_heads, S, seed=73)
+        X = np.repeat(X, run, axis=1)[:, :S]
+        head = model.heads[0] if n_heads > 1 else model
+        assert (chained_pairs(X, head.bank)[0] > 0) == (run > 2)
+        assert_fit_matches_replay(model, X, D, TrainConfig(
+            eta=eta, epochs=3, seed=7, shuffle=shuffle, init="keep", alpha_eta=0.5 * eta))
+
+    @pytest.mark.parametrize("task,counts", [("sysid", (177, 200)), ("funapprox", (0, 61))])
+    def test_chained_pair_counts(self, task, counts):
+        # the square wave driving sysid holds each input for 20 samples, so
+        # 177 of its 200 pairs chain in dataset order; funapprox's grid
+        # repeats no row
+        X, _, bank, _ = bench._problem(bench.ExperimentConfig(task), 0)
+        assert chained_pairs(X, bank) == counts
+
+    def test_distinct_rows_never_chain(self):
+        model, X, _, _ = fit_problem("adaptive", 1, 2 * BLOCK_SIZE + 45, seed=74)
+        assert chained_pairs(X, model.bank) == (0, 2 * 64 + 23)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("S,position,same_inputs", [
+        pytest.param(3, 1, False, id="second-of-pair"),
+        pytest.param(BLOCK_SIZE + 1, 51, False, id="second-of-pair-in-long-block"),
+        pytest.param(3, 2, False, id="odd-block-end"),
+        pytest.param(BLOCK_SIZE + 1, BLOCK_SIZE, False, id="one-sample-block"),
+        pytest.param(BLOCK_SIZE + 1, 50, True, id="chained-pair")])
+    def test_adaptive_divergence_in_a_pair(self, S, position, same_inputs, n_heads,
+                                           shuffle, monkeypatch):
         # a bad target at the given presented position of epoch 1: the
-        # second sample of a pair, or the last sample of an odd block. fit
+        # second sample of a pair, the last sample of an odd block, or, when
+        # every input is the same, the first sample of a chained pair. fit
         # reports the sgd_step replay's failure; without the replay the
         # loop's own report names the same step.
         model, X, D, eta = fit_problem("adaptive", n_heads, S, seed=72)
+        if same_inputs:
+            X[:] = X[:, :1]
         cfg = TrainConfig(eta=eta, epochs=2, seed=3, shuffle=shuffle, init="keep")
         shuffle_stream = np.random.SeedSequence(cfg.seed).spawn(2)[1]
         order = (np.random.default_rng(shuffle_stream).permutation(S) if shuffle
