@@ -280,10 +280,10 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
     A = np.empty((4 * m, 2 * n + 1))
     A[2 * n:] = 0.0
     np.matmul(Z, Z.T, out=A[:2 * n, :-1])
-    j = 4 * np.arange(m)
+    j = 4 * np.arange(m)[:, None, None]
     if n % 2 and m > 1:
         j[-1] -= 2
-    C = A[j[:, None, None] + [[2], [3]], j[:, None, None] + [0, 1]].reshape(m, 4)
+    C = A[j + [[2], [3]], j + [0, 1]].reshape(m, 4)
     # same[s]: sample s repeats sample s - 1's row (and a sample past the
     # end repeats any)
     same = np.ones(2 * m + 1, dtype=bool)
