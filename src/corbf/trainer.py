@@ -21,16 +21,16 @@ sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
 carries the projections Z w at its starting weights as a spare column, so one
 product of four of its rows with the increments made so far in the block (and
-a trailing 1) gives the projections of a pair of samples, the first sample's
-step moves the second's by four Gram entries, and one product applies the
-increments at the block's end. A pair whose samples repeat the row of the
-sample before it (a square-wave input holds one row for many samples) needs
-no product: that sample's projections, moved by its own step through the
-same four entries, are the pair's. All of them match repeated sgd_step calls
-up to rounding. Before an adaptive divergence the errors grow faster than
-exponentially, so rounding can move the failing value far more: when the
-adaptive loop fails, fit replays the epochs up to the failing one by
-sgd_step's arithmetic and reports its failure.
+a trailing 1) reads this sample's projections and the next one's, and one
+product applies the increments at the block's end. A sample without a
+product (every odd one, and an even one whose row repeats its neighbours',
+as a square-wave input's do) moves the carried projections by its coupling
+to the previous sample, four Gram entries times that sample's increments.
+All of them match repeated sgd_step calls up to rounding. Before an adaptive
+divergence the errors grow faster than exponentially, so rounding can move
+the failing value far more: when the adaptive loop fails, fit replays the
+epochs up to the failing one by sgd_step's arithmetic and reports its
+failure.
 
 fit trains rows of parameters, one per head (model._params reads them,
 model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
@@ -257,43 +257,29 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
     """One presentation block of the adaptive loop, for the samples idx.
 
     P2[s] holds sample s's Gaussian and cosine rows. Returns idx, the block's
-    stacked rows Z (row 2i is sample i's Gaussian row, 2i + 1 its cosine row),
-    A = [Z Z^T | r], its Gram matrix with one spare last column r (and two
-    zero rows more when the block is odd), the block's pairs and each head's
-    targets. The loop writes a head's projections Z w into r; then for the
-    block's increments so far followed by 1.0, the four rows of A of samples
-    2p and 2p + 1 give both samples' projections in one product. Pair p is
-    (4p, those rows, the Gram entries A[4p + 2:4p + 4, 4p:4p + 2] that couple
-    sample 2p + 1 to sample 2p's increments); its targets are one (d, d')
-    per head, with d' None for an odd block's last sample.
-
-    Pair p >= 1 is chained, and holds None for its rows, when samples
-    2p - 1, 2p and 2p + 1 (2p - 1 and 2p at an odd block's end) have
-    bit-equal rows: sample 2p's projections are then sample 2p - 1's moved
-    by that sample's own step, through the same four Gram entries, so the
-    loop needs no product. An odd block's last pair has no sample 2p + 1,
-    so its entries couple sample 2p to sample 2p - 1 instead.
+    stacked rows Z (rows 2i, 2i + 1 are sample i's Gaussian and cosine rows),
+    A = [Z Z^T | r] with a spare last column r for a head's projections Z w
+    and two zero rows more, one step per sample and each head's targets.
+    Step i is (2i, rows 2i..2i + 3 of A or None, the Gram entries
+    A[2i:2i + 2, 2i - 2:2i] that couple sample i to sample i - 1's
+    increments). Only even samples hold rows, and not when samples i - 1, i
+    and i + 1 (i - 1 and i at the block's end) have bit-equal rows. Sample 0
+    always holds them, so its entries are never read.
     """
-    n, m = len(idx), (len(idx) + 1) // 2
+    n = len(idx)
+    cols = 2 * n + 1
     R = P2[idx]
     Z = R.reshape(2 * n, -1)
-    A = np.empty((4 * m, 2 * n + 1))
-    A[2 * n:] = 0.0
-    np.matmul(Z, Z.T, out=A[:2 * n, :-1])
-    j = 4 * np.arange(m)[:, None, None]
-    if n % 2 and m > 1:
-        j[-1] -= 2
-    C = A[j + [[2], [3]], j + [0, 1]].reshape(m, 4)
+    A = np.zeros((cols + 1, cols))
+    np.matmul(Z, Z.T, out=A[:-2, :-1])
+    # the entries A[2i:2i + 2, 2i - 2:2i], by their offsets in A: entry
+    # (2i, 2i) lies 2i (cols + 1) into it
+    C = A.take(2 * (cols + 1) * np.arange(n)[:, None] + [-2, -1, cols - 2, cols - 1])
     # same[s]: sample s repeats sample s - 1's row (and a sample past the
     # end repeats any)
-    same = np.ones(2 * m + 1, dtype=bool)
-    same[0] = False
-    same[1:n] = (R[1:] == R[:-1]).all(axis=(1, 2))
-    rows = [None if chained else Q for chained, Q in
-            zip(same[:-1:2] & same[1::2], A.reshape(m, 4, -1))]
-    pairs = list(zip(range(0, 4 * m, 4), rows, *C.T.tolist()))
-    return idx, Z, A, pairs, [list(zip(d[::2], d[1::2] + [None]))
-                              for d in Dmat[:, idx].tolist()]
+    same = [False, *(R[1:] == R[:-1]).all(axis=(1, 2)).tolist(), True]
+    rows = [None if i % 2 or same[i] and same[i + 1] else A[2 * i:2 * i + 4] for i in range(n)]
+    return idx, Z, A, list(zip(range(0, 2 * n, 2), rows, *C.T.tolist())), Dmat[:, idx].tolist()
 
 
 def _replay(heads: list, X: np.ndarray, Dmat: np.ndarray, cfg: TrainConfig,
@@ -358,8 +344,11 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
     response, and [1, mixed responses] under Fixed/Adaptive. Adaptive
     additionally moves the two mixing coefficients by alpha_eta*e times the
     corresponding unmixed response sums. epoch and sample only label a
-    DivergenceError; fit's engines are checked against this step.
+    DivergenceError; fit's engines are checked against this step. A
+    MultiHeadRbfModel is refused (InvalidModelError): fit trains its heads.
     """
+    if not isinstance(model, RbfModel):
+        raise InvalidModelError(f"sgd_step updates one RbfModel, not a {type(model).__name__}")
     _check_rate("eta", eta)
     a_eta = eta if alpha_eta is None else alpha_eta
     _check_rate("alpha_eta", a_eta)
@@ -429,17 +418,17 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     dataset order) are checked once per chunk; the first failing one and the
     rest of its chunk train by blocks, which raise at the first failing sample.
     One scalar loop trains each adaptive head in turn over the epoch's order,
-    two samples per product, and none for a chained pair, whose samples
-    repeat the row of the sample before them (heads share only the design,
-    the order and each block's [Z Z^T | Z w] and chained pairs, built once
-    per fit in dataset order and once per epoch under shuffle); the block
-    engine trains all fixed or co heads at once. When the adaptive loop
-    fails in epoch t, fit replays epochs 1..t with sgd_step's arithmetic
-    from the starting rows and coefficients, on a design evaluated once,
-    each in the order drawn from a fresh shuffle stream of the same seed,
-    and raises the replay's (epoch, sample, value) if the replay fails in
-    epoch t, its own otherwise; the replay costs one such step per head and
-    presented sample.
+    one step per sample: a product reads this sample's and the next one's
+    projections, a sample without one moves the carried projections by its
+    coupling to the previous sample. Heads share the design, the order and
+    each block's [Z Z^T | Z w] and steps (built once per fit in dataset
+    order, once per epoch under shuffle); the block engine trains all fixed
+    or co heads at once. When the adaptive loop fails in epoch t, fit
+    replays epochs 1..t with sgd_step's arithmetic from the starting rows and
+    coefficients, on a design evaluated once, each in the order drawn from a
+    fresh shuffle stream of the same seed, and raises the replay's (epoch,
+    sample, value) if the replay fails in epoch t, its own otherwise; the
+    replay costs one such step per head and presented sample.
     Fixed and adaptive fusion need a Gaussian and a cosine kernel
     (InvalidModelError); co does not. Heads of different fusion modes are
     refused (InvalidModelError).
@@ -565,25 +554,25 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                 for c in range(len(heads)):
                     w, b, (ag, ac) = W[c, 1:], float(W[c, 0]), alphas[c].tolist()
                     try:
-                        for idx, Z, A, pairs, targets in blocks:
-                            # w moves only by inc @ Z here, so the projections of
-                            # samples 2p, 2p + 1 before pair p are rows 4p..4p + 3
-                            # of [Z Z^T | Z w] times [inc, 1]; sample 2p's step
-                            # then moves sample 2p + 1's by the Gram entries c
+                        for idx, Z, A, steps, targets in blocks:
+                            # w moves only by inc @ Z here: a product of rows
+                            # 2i..2i + 3 of [Z Z^T | Z w] with [inc, 1] reads
+                            # the projections of samples i and i + 1, and a
+                            # sample without one moves the carried ones by its
+                            # coupling c to sample i - 1's increments
                             A[:len(Z), -1] = Z @ w
                             inc = np.zeros(len(Z) + 1)
                             inc[-1] = 1.0
                             # a store through a memoryview costs about half a
                             # NumPy scalar setitem
                             mv = memoryview(inc)
-                            for (j, Q, cgg, cgc, ccg, ccc), (d, d1) in zip(pairs, targets[c]):
+                            for (j, Q, cgg, cgc, ccg, ccc), d in zip(steps, targets[c]):
                                 if Q is None:
-                                    # chained: samples 2p - 1, 2p (and 2p + 1)
-                                    # share a row, and ig, ic are 2p - 1's
-                                    sg1 = sg = sg1 + cgg * ig + cgc * ic
-                                    sc1 = sc = sc1 + ccg * ig + ccc * ic
+                                    # the move is summed first; the curves' bits depend on it
+                                    sg = ng = ng + (cgg * ig + cgc * ic)
+                                    sc = nc = nc + (ccg * ig + ccc * ic)
                                 else:
-                                    sg, sc, sg1, sc1 = Q.dot(inc, q).tolist()
+                                    sg, sc, ng, nc = Q.dot(inc, q).tolist()
                                 e = d - (ag * sg + ac * sc + b)
                                 if not (abs(e) <= DIVERGENCE_LIMIT):
                                     raise DivergenceError(t0 + i + 1, int(idx[j // 2]) + 1, e)
@@ -593,19 +582,6 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                                 b += step
                                 ag += a_eta * e * sg
                                 ac += a_eta * e * sc
-                                if d1 is None:
-                                    break
-                                sg1 += cgg * ig + cgc * ic
-                                sc1 += ccg * ig + ccc * ic
-                                e = d1 - (ag * sg1 + ac * sc1 + b)
-                                if not (abs(e) <= DIVERGENCE_LIMIT):
-                                    raise DivergenceError(t0 + i + 1, int(idx[j // 2 + 1]) + 1, e)
-                                step = eta * e
-                                mv[j + 2] = ig = step * ag
-                                mv[j + 3] = ic = step * ac
-                                b += step
-                                ag += a_eta * e * sg1
-                                ac += a_eta * e * sc1
                             w += inc[:-1] @ Z
                     except DivergenceError as exc:
                         failed.append(exc)
@@ -631,7 +607,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         if exc.epoch > 1:
             _set_params(heads, Rows[exc.epoch - 1 - t0], Alphas[exc.epoch - 1 - t0])
         if adaptive:
-            # the paired steps round otherwise than sgd_step: report its
+            # the loop's steps round otherwise than sgd_step: report its
             # failure when it fails in the same epoch
             replay = _replay(heads, X, Dmat, cfg, *start, exc.epoch)
             if replay is not None and replay.epoch == exc.epoch:
@@ -660,6 +636,8 @@ def learning_rate_bound(Phi: np.ndarray) -> float:
     P, S = Phi.shape
     if P == 0 or S == 0:
         raise EmptyInputError("learning_rate_bound needs a non-empty design matrix")
+    if not np.isfinite(Phi).all():
+        raise InvalidConfigError("learning_rate_bound needs a finite design matrix")
     R = (Phi @ Phi.T) / S
     if not np.any(R):
         raise EmptyInputError("kernel responses are all zero; the bound is undefined")

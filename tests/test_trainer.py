@@ -167,6 +167,18 @@ class TestSgdStep:
         with pytest.raises(InvalidConfigError):
             TrainConfig(**{"eta": 0.1, "epochs": 1, **rates})
 
+    def test_multi_head_model_refused(self):
+        rng = np.random.default_rng(48)
+        bank = small_bank(rng)
+        model = MultiHeadRbfModel([make_model(rng, bank, AdaptiveFusion(0.5, 0.5))
+                                   for _ in range(2)])
+        before = [snapshot(h) for h in model.heads]
+        with pytest.raises(InvalidModelError, match="MultiHeadRbfModel"):
+            sgd_step(model, rng.normal(size=2), 1.0, eta=0.1)
+        for (w0, b0, a0), (w1, b1, a1) in zip(before, map(snapshot, model.heads)):
+            np.testing.assert_array_equal(w0, w1)
+            assert (b0, a0) == (b1, a1)
+
     def test_divergence_guard_trips(self):
         rng = np.random.default_rng(45)
         bank = small_bank(rng)
@@ -180,8 +192,8 @@ class TestFit:
     @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
     def test_one_epoch_one_sample_equals_single_step(self, mode):
         # co and fixed fusion train by their error operator, bit for bit
-        # sgd_step here. The adaptive case is the paired loop's one-sample
-        # odd block: it moves w by (eta e alpha_g) pg + (eta e alpha_c) pc,
+        # sgd_step here. The adaptive case is the loop's one-sample block:
+        # it moves w by (eta e alpha_g) pg + (eta e alpha_c) pc,
         # sgd_step by (eta e)(alpha_g pg + alpha_c pc), which rounds otherwise.
         rng = np.random.default_rng(46)
         bank = small_bank(rng)
@@ -350,17 +362,17 @@ def fit_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0,
     return MultiHeadRbfModel(heads), X, rng.normal(size=(n_heads, S)), eta
 
 
-def chained_pairs(X, bank):
-    """(chained, all) pairs of the adaptive loop's blocks over the columns of
+def product_counts(X, bank):
+    """(products, samples) of the adaptive loop's blocks over the columns of
     X in dataset order."""
     S = X.shape[1]
     Phi = kernel_matrix(X, bank)
     Pg, Pc = trainer._gaussian_cosine(Phi[1:].reshape(bank.n_kernels, bank.n_centers, S),
                                       bank)
     P2 = np.stack((Pg.T, Pc.T), axis=1)
-    pairs = [pair for lo in range(0, S, BLOCK_SIZE) for pair in trainer._gram_block(
+    steps = [step for lo in range(0, S, BLOCK_SIZE) for step in trainer._gram_block(
         P2, np.zeros((1, S)), np.arange(lo, min(lo + BLOCK_SIZE, S)))[3]]
-    return sum(Q is None for _, Q, *_ in pairs), len(pairs)
+    return sum(Q is not None for _, Q, *_ in steps), len(steps)
 
 
 def head_params(model):
@@ -530,8 +542,9 @@ class TestBlockEngine:
     @pytest.mark.parametrize("S", [1, 2, 3, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
                                    2 * BLOCK_SIZE + 44])
     def test_adaptive_pairs_match_sequential_steps(self, S, n_heads, shuffle):
-        # the adaptive loop presents two samples per product; an odd block
-        # ends on a half pair (S = 1, 3 and 129 end on one, 127 is one block)
+        # the adaptive loop's products read two samples' projections; an odd
+        # block ends on a product for its last sample alone (S = 1, 3 and 129
+        # end on one, 127 is one block)
         model, X, D, eta = fit_problem("adaptive", n_heads, S, seed=71)
         assert_fit_matches_replay(model, X, D, TrainConfig(
             eta=eta, epochs=3, seed=7, shuffle=shuffle, init="keep", alpha_eta=0.5 * eta))
@@ -540,48 +553,51 @@ class TestBlockEngine:
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("run", [2, 3, 20, BLOCK_SIZE - 1, BLOCK_SIZE + 1])
     def test_adaptive_chains_match_sequential_steps(self, run, n_heads, shuffle):
-        # inputs repeat in runs of run samples, so in dataset order pairs
-        # chain (runs of 2 never hold the three equal rows a pair needs);
-        # runs cross block ends, and the last block is odd and, for runs of
-        # 127 and 129, ends on a chained half pair
+        # inputs repeat in runs of run samples, so in dataset order samples
+        # skip their products (runs of 2 never hold the three equal rows a
+        # skip needs); runs cross block ends, and the last block is odd and,
+        # for runs of 127 and 129, ends on a sample without a product
         S = 2 * BLOCK_SIZE + 45
         model, X, D, eta = fit_problem("adaptive", n_heads, S, seed=73)
         X = np.repeat(X, run, axis=1)[:, :S]
         head = model.heads[0] if n_heads > 1 else model
-        assert (chained_pairs(X, head.bank)[0] > 0) == (run > 2)
+        assert (product_counts(X, head.bank)[0] < 151) == (run > 2)
         assert_fit_matches_replay(model, X, D, TrainConfig(
             eta=eta, epochs=3, seed=7, shuffle=shuffle, init="keep", alpha_eta=0.5 * eta))
 
-    @pytest.mark.parametrize("task,counts", [("sysid", (177, 200)), ("funapprox", (0, 61))])
+    @pytest.mark.parametrize("task,counts", [("sysid", (23, 400)), ("funapprox", (61, 121))])
     def test_chained_pair_counts(self, task, counts):
         # the square wave driving sysid holds each input for 20 samples, so
-        # 177 of its 200 pairs chain in dataset order; funapprox's grid
-        # repeats no row
+        # 23 of its 400 samples take a product in dataset order; funapprox's
+        # grid repeats no row, so every even sample of a block takes one
         X, _, bank, _ = bench._problem(bench.ExperimentConfig(task), 0)
-        assert chained_pairs(X, bank) == counts
+        assert product_counts(X, bank) == counts
 
     def test_distinct_rows_never_chain(self):
         model, X, _, _ = fit_problem("adaptive", 1, 2 * BLOCK_SIZE + 45, seed=74)
-        assert chained_pairs(X, model.bank) == (0, 2 * 64 + 23)
+        assert product_counts(X, model.bank) == (2 * 64 + 23, 2 * BLOCK_SIZE + 45)
 
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("n_heads", [1, 3])
-    @pytest.mark.parametrize("S,position,same_inputs", [
-        pytest.param(3, 1, False, id="second-of-pair"),
-        pytest.param(BLOCK_SIZE + 1, 51, False, id="second-of-pair-in-long-block"),
-        pytest.param(3, 2, False, id="odd-block-end"),
-        pytest.param(BLOCK_SIZE + 1, BLOCK_SIZE, False, id="one-sample-block"),
-        pytest.param(BLOCK_SIZE + 1, 50, True, id="chained-pair")])
-    def test_adaptive_divergence_in_a_pair(self, S, position, same_inputs, n_heads,
+    @pytest.mark.parametrize("S,position,run", [
+        pytest.param(3, 1, 1, id="second-of-pair"),
+        pytest.param(BLOCK_SIZE + 1, 51, 1, id="second-of-pair-in-long-block"),
+        pytest.param(3, 2, 1, id="odd-block-end"),
+        pytest.param(BLOCK_SIZE + 1, BLOCK_SIZE, 1, id="one-sample-block"),
+        pytest.param(BLOCK_SIZE + 1, 50, BLOCK_SIZE + 1, id="chained-pair"),
+        pytest.param(BLOCK_SIZE + 1, 10, 5, id="chain-end")])
+    def test_adaptive_divergence_in_a_pair(self, S, position, run, n_heads,
                                            shuffle, monkeypatch):
-        # a bad target at the given presented position of epoch 1: the
-        # second sample of a pair, the last sample of an odd block, or, when
-        # every input is the same, the first sample of a chained pair. fit
-        # reports the sgd_step replay's failure; without the replay the
+        # inputs repeat in runs of run samples, and a bad target sits at the
+        # given presented position of epoch 1: a sample whose projections
+        # the product of the sample before it gave, the last sample of an
+        # odd block, an even sample without a product when every input is
+        # the same, or, for runs of 5, sample 10, the first of a new row,
+        # whose product resumes after samples 6-9 carried their projections.
+        # fit reports the sgd_step replay's failure; without the replay the
         # loop's own report names the same step.
         model, X, D, eta = fit_problem("adaptive", n_heads, S, seed=72)
-        if same_inputs:
-            X[:] = X[:, :1]
+        X = np.repeat(X, run, axis=1)[:, :S]
         cfg = TrainConfig(eta=eta, epochs=2, seed=3, shuffle=shuffle, init="keep")
         shuffle_stream = np.random.SeedSequence(cfg.seed).spawn(2)[1]
         order = (np.random.default_rng(shuffle_stream).permutation(S) if shuffle
@@ -910,6 +926,16 @@ class TestLearningRateBound:
     def test_all_zero_rejected(self):
         with pytest.raises(EmptyInputError):
             learning_rate_bound(np.zeros((4, 10)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, value):
+        # unchecked, either reaches the eigensolver, which raises LinAlgError
+        Phi = np.ones((3, 3))
+        Phi[1, 2] = value
+        with pytest.raises(InvalidConfigError, match="finite"):
+            learning_rate_bound(Phi)
+        with pytest.raises(InvalidConfigError, match="finite"):
+            learning_rate_bound(np.full((3, 3), value))
 
 
 class TestTraceCsv:
