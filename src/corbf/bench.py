@@ -28,7 +28,8 @@ import numpy as np
 from . import reference
 from .centers import SubtractiveConfig, fixed_centers, subtractive_clustering
 from .errors import (DataFormatError, DivergenceError, InvalidConfigError,
-                     MissingArtifactsError, _read_csv, _write_csv)
+                     MissingArtifactsError, _check_int, _check_positive, _read_csv,
+                     _write_csv)
 from .kernels import CosineParams, GaussianParams, KernelBank, kernel_matrix
 from .metrics import (_METRIC_TABLE_CSV, ErrorSurface, accuracy, confusion,
                       error_surface, format_percent, format_youden,
@@ -37,8 +38,8 @@ from .model import (AdaptiveFusion, CoFusion, FixedFusion, MultiHeadRbfModel,
                     RbfModel, forward_batch)
 from .tasks import (DEFAULT_FUNAPPROX_TARGET, FUNAPPROX_TARGETS, funapprox_target,
                     gen_function_approx, gen_sysid, load_iris)
-from .trainer import (TrainConfig, TrainTrace, _check_rate, fit,
-                      learning_rate_bound, write_trace_csv, read_trace_csv)
+from .trainer import (TrainConfig, TrainTrace, fit, learning_rate_bound,
+                      write_trace_csv, read_trace_csv)
 
 TASKS = ("iris", "funapprox", "sysid")
 ARCHITECTURES = ("manual", "adaptive", "co")
@@ -69,10 +70,6 @@ SYSID_CENTER_SETS = {
     "symmetric": (-100.0, -50.0, 0.0, 50.0, 100.0),
     "repeated-endpoint": (-100.0, -50.0, 0.0, 50.0, -100.0),
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -118,10 +115,8 @@ class ExperimentConfig:
             if getattr(self, key) is None:
                 object.__setattr__(self, key, TASK_DEFAULTS[self.task][key])
         for key, low in (("runs", 1), ("seed", 0), ("jobs", 1), ("epochs", 1)):
-            value = getattr(self, key)
-            if not _is_int(value) or value < low:
-                raise InvalidConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-        _check_rate("eta", self.eta, types=(int, float))  # JSON: no NumPy scalars
+            _check_int(key, getattr(self, key), low, types=int)  # JSON: no NumPy scalars
+        _check_positive("eta", self.eta, types=(int, float))
         if self.funapprox_target not in FUNAPPROX_TARGETS:
             raise InvalidConfigError(
                 f"unknown funapprox target {self.funapprox_target!r}; "
@@ -459,8 +454,9 @@ def config_from_manifest(path: str | os.PathLike) -> ExperimentConfig:
     manifest's directory; rerunning it reproduces identical curve files).
 
     A missing key, a field that fails ExperimentConfig's checks, a fixed
-    setting other than the one this version runs, or a divergence_count that
-    does not count the divergences recorded raises DataFormatError."""
+    setting other than the one this version runs, divergence records that
+    run_experiment cannot write or a divergence_count that does not count
+    them raises DataFormatError."""
     return _read_manifest(path)[0]
 
 
@@ -486,9 +482,13 @@ def _read_manifest(path: str | os.PathLike) -> tuple[ExperimentConfig, dict[str,
                 raise DataFormatError(f"manifest records {key} {m[key]!r}, but this "
                                       f"version runs {value!r}", path=str(path))
         count, records = m["divergence_count"], m["divergences"]
-        n = (sum(map(len, records.values())) if isinstance(records, dict) and all(
-            isinstance(v, list) and all(isinstance(r, dict) and "run" in r for r in v)
-            for v in records.values()) else "malformed")
+        try:  # as run_experiment writes them: distinct runs per architecture
+            runs = [[r["run"] for r in records[a]] for a in cfg.architectures]
+            ok = len(records) == len(runs) and all(
+                type(r) is int and 0 <= r < cfg.runs and v.count(r) == 1 for v in runs for r in v)
+        except (KeyError, TypeError):
+            ok = False
+        n = sum(map(len, runs)) if ok else "malformed"
         if type(count) is not int or count != n:
             raise DataFormatError(f"manifest records divergence_count {count!r} for "
                                   f"{n} divergence records", path=str(path))

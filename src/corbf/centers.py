@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, InvalidConfigError
+from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
+                     _check_int, _check_positive)
 
 
 @dataclass(frozen=True)
@@ -32,23 +33,16 @@ class SubtractiveConfig:
     max_centers: int | None = None
 
     def __post_init__(self):
-        if not (self.influence_radius > 0):
-            raise InvalidConfigError(
-                f"influence_radius must be > 0, got {self.influence_radius}"
-            )
-        if self.squash_radius is not None and not (self.squash_radius > 0):
-            raise InvalidConfigError(
-                f"squash_radius must be > 0, got {self.squash_radius}"
-            )
+        _check_positive("influence_radius", self.influence_radius)
+        if self.squash_radius is not None:
+            _check_positive("squash_radius", self.squash_radius)
         if not (0 < self.reject_ratio <= self.accept_ratio <= 1):
             raise InvalidConfigError(
                 "need 0 < reject_ratio <= accept_ratio <= 1, got "
                 f"reject={self.reject_ratio}, accept={self.accept_ratio}"
             )
-        if self.max_centers is not None and self.max_centers < 1:
-            raise InvalidConfigError(
-                f"max_centers must be >= 1, got {self.max_centers}"
-            )
+        if self.max_centers is not None:
+            _check_int("max_centers", self.max_centers, 1)
 
     @property
     def effective_squash_radius(self) -> float:
@@ -117,8 +111,7 @@ def grid_axes(bounds: list[tuple[float, float]], step: float) -> list[np.ndarray
     Per-axis count is floor((hi - lo) / step) + 1 with a small slack so that
     spans that are exact multiples of step are not lost to rounding.
     """
-    if not (step > 0):
-        raise InvalidConfigError(f"step must be > 0, got {step}")
+    _check_positive("step", step)
     if not bounds:
         raise EmptyInputError("grid needs at least one axis")
     axes = []

@@ -27,8 +27,11 @@ _FUNAPPROX_CHOICES = FUNAPPROX_TARGETS[:1] + ("custom",) + FUNAPPROX_TARGETS[1:]
 
 
 def _parse_arch_list(text: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    return parts
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def _funapprox_target(name: str) -> str:
+    return "constant-one" if name == "custom" else name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one benchmark task and write artifacts")
     run.add_argument("task", choices=TASKS)
-    run.add_argument("--arch", default=",".join(ARCHITECTURES),
+    # Every option of run is named after its ExperimentConfig field (dest),
+    # so main builds the config from the parsed options as they are.
+    run.add_argument("--arch", dest="architectures", type=_parse_arch_list,
+                     default=",".join(ARCHITECTURES), metavar="ARCH",
                      help="comma-separated architecture list "
                           f"(subset of {', '.join(ARCHITECTURES)})")
     run.add_argument("--runs", type=int, default=20, metavar="N",
@@ -53,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="root seed; run r uses S + r (default 0)")
     run.add_argument("--jobs", type=int, default=1, metavar="J",
                      help="concurrent runs (default 1)")
-    run.add_argument("--out", default="corbf-results", metavar="DIR",
+    run.add_argument("--out", dest="out_dir", default="corbf-results", metavar="DIR",
                      help="output directory (default corbf-results)")
-    run.add_argument("--funapprox-target", choices=_FUNAPPROX_CHOICES,
+    run.add_argument("--funapprox-target", type=_funapprox_target,
+                     choices=_FUNAPPROX_CHOICES,
                      default=DEFAULT_FUNAPPROX_TARGET,
                      help="2-D target function; 'custom' is the constant "
                           "f(x)=1 alternative reading")
@@ -77,24 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "run":
-            target = args.funapprox_target
-            if target == "custom":
-                target = "constant-one"
-            cfg = ExperimentConfig(
-                task=args.task,
-                architectures=_parse_arch_list(args.arch),
-                runs=args.runs,
-                seed=args.seed,
-                out_dir=args.out,
-                epochs=args.epochs,
-                eta=args.eta,
-                jobs=args.jobs,
-                funapprox_target=target,
-                sysid_centers=args.sysid_centers,
-            )
+        if command == "run":
+            cfg = ExperimentConfig(**args)
             status = run_experiment(cfg)
             if status == 0:
                 print(f"wrote artifacts to {cfg.out_dir}")
@@ -102,10 +96,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"all runs diverged; manifest in {cfg.out_dir}",
                       file=sys.stderr)
             return status
-        if args.command == "report":
-            sys.stdout.write(compare_report(args.directory))
+        if command == "report":
+            sys.stdout.write(compare_report(args["directory"]))
             return 0
-        probe = bound_probe(args.task)
+        probe = bound_probe(args["task"])
         verdict = "respects" if probe["respects"] else "violates"
         print(f"task: {probe['task']}")
         print(f"learning-rate bound (1/lambda_max): {probe['bound']:.6g}")

@@ -1,14 +1,18 @@
-"""Exception types raised by the corbf package, and its one CSV format.
+"""Exception types raised by the corbf package, its one CSV format and its
+one rule for numeric settings.
 
 Every error carries enough structure (dimensions, indices, file names) for a
 caller to act on it programmatically instead of parsing the message.
 _write_csv and _read_csv write and parse every CSV artifact; the reader
-reports any malformed line as a DataFormatError.
+reports any malformed line as a DataFormatError. _check_positive and
+_check_int check every numeric setting.
 """
 
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 
 class CorbfError(Exception):
@@ -96,6 +100,26 @@ class MissingArtifactsError(CorbfError):
         super().__init__(
             f"results directory {directory} is missing: {', '.join(missing)}"
         )
+
+
+def _check_positive(name: str, value, zero: bool = False,
+                    types: tuple = (int, float, np.integer, np.floating)) -> None:
+    """Raise InvalidConfigError unless value is one of types, not a bool, and
+    converts to a finite float > 0 (>= 0 if zero)."""
+    try:
+        v = float(value) if isinstance(value, types) and not isinstance(value, bool) else np.nan
+    except OverflowError:
+        raise InvalidConfigError(f"{name} must be a finite number, got an int too large "
+                                 "for a float") from None
+    if not (0.0 < v < np.inf or zero and v == 0.0):
+        raise InvalidConfigError(
+            f"{name} must be a finite number {'>=' if zero else '>'} 0, got {value!r}")
+
+
+def _check_int(name: str, value, low: int, types: tuple = (int, np.integer)) -> None:
+    """Raise InvalidConfigError unless value is one of types, not a bool, and >= low."""
+    if not isinstance(value, types) or isinstance(value, bool) or value < low:
+        raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _write_csv(path: str | os.PathLike, header, rows) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError
+from .errors import DimensionMismatchError, InvalidConfigError, _check_positive
 
 KERNEL_NAMES = ("gaussian", "cosine")
 
@@ -26,8 +26,7 @@ class GaussianParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise InvalidConfigError(f"gaussian sigma must be > 0, got {self.sigma}")
+        _check_positive("gaussian sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,7 @@ class CosineParams:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise InvalidConfigError(f"cosine epsilon must be > 0, got {self.epsilon}")
+        _check_positive("cosine epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,8 @@ def kernel_matrix(X: np.ndarray, bank: KernelBank) -> np.ndarray:
 
     Column j is kernel_vector(X[:, j], bank), bit for bit: each entry is
     built from its own sample and center by the same elementwise operations,
-    whatever the other columns are.
+    whatever the other columns are. A NaN or infinite sample entry raises
+    InvalidConfigError.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != bank.input_dim:
@@ -147,6 +146,8 @@ def kernel_matrix(X: np.ndarray, bank: KernelBank) -> np.ndarray:
             bank.input_dim,
             X.shape[0] if X.ndim == 2 else -1,
         )
+    if not np.isfinite(X).all():
+        raise InvalidConfigError("samples contain non-finite values")
     K, S = bank.n_centers, X.shape[1]
     sq_dist = np.zeros((K, S))
     dot = np.zeros((K, S))

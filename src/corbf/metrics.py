@@ -14,7 +14,7 @@ import numpy as np
 
 from .centers import grid_axes, grid_centers
 from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
-                     _float_or_na, _write_csv)
+                     _check_int, _float_or_na, _write_csv)
 from .model import RbfModel, forward_batch
 
 
@@ -97,8 +97,7 @@ def confusion(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> ConfusionC
         raise DimensionMismatchError("pred vs truth", truth.size, pred.size)
     if pred.size == 0:
         raise EmptyInputError("confusion needs at least one sample")
-    if n_classes < 2:
-        raise InvalidConfigError(f"n_classes must be >= 2, got {n_classes}")
+    _check_int("n_classes", n_classes, 2)
     for name, v in (("pred", pred), ("truth", truth)):
         if v.min() < 0 or v.max() >= n_classes:
             raise InvalidConfigError(

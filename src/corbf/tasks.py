@@ -18,7 +18,8 @@ from importlib import resources
 import numpy as np
 
 from .centers import grid_centers
-from .errors import DataFormatError, DimensionMismatchError, InvalidConfigError
+from .errors import (DataFormatError, DimensionMismatchError, InvalidConfigError,
+                     _check_int, _check_positive)
 
 IRIS_ENV_VAR = "CORBF_DATA"
 
@@ -131,6 +132,7 @@ def load_iris(path: str | None = None, seed: int = 0) -> tuple[LabeledDataset, L
     permutation per class; features are kept in their original units. Class
     indices follow first appearance in the file.
     """
+    _check_int("seed", seed, 0)
     resolved = path if path is not None else _default_iris_path()
     X, names = _parse_iris_csv(resolved)
 
@@ -199,10 +201,10 @@ def gen_function_approx(truth_fn=None) -> tuple[LabeledDataset, LabeledDataset]:
 
 def square_wave(n_samples: int, period: int) -> np.ndarray:
     """Unit-amplitude square wave with 50% duty cycle: +1 then -1 each period."""
-    if n_samples < 1:
-        raise InvalidConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if period < 2 or period % 2 != 0:
-        raise InvalidConfigError(f"period must be a positive even integer, got {period}")
+    _check_int("n_samples", n_samples, 1)
+    _check_int("period", period, 2)
+    if period % 2 != 0:
+        raise InvalidConfigError(f"period must be even, got {period}")
     t = np.arange(n_samples)
     return np.where(t % period < period // 2, 1.0, -1.0)
 
@@ -227,8 +229,8 @@ def gen_sysid(seed: int = 0, n_samples: int = 400, period: int = 40,
     adds seed-deterministic zero-mean Gaussian noise of the given variance
     and is meant for training targets only (evaluation uses the clean one).
     """
-    if not (noise_variance >= 0):
-        raise InvalidConfigError(f"noise_variance must be >= 0, got {noise_variance}")
+    _check_int("seed", seed, 0)
+    _check_positive("noise_variance", noise_variance, zero=True)
     u = square_wave(n_samples, period)
     y_clean = plant_response(u)
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -59,6 +59,8 @@ from .errors import (
     EmptyInputError,
     InvalidConfigError,
     InvalidModelError,
+    _check_int,
+    _check_positive,
     _float_or_na,
     _read_csv,
     _write_csv,
@@ -93,20 +95,6 @@ CHUNK_EPOCHS = 128
 INIT_KINDS = ("uniform", "zeros", "keep")
 
 
-def _check_rate(name: str, value, zero: bool = False,
-                types: tuple = (int, float, np.integer, np.floating)) -> None:
-    """Raise InvalidConfigError unless value is one of types, not a bool, and
-    converts to a finite float > 0 (>= 0 if zero)."""
-    try:
-        v = float(value) if isinstance(value, types) and not isinstance(value, bool) else np.nan
-    except OverflowError:
-        raise InvalidConfigError(f"{name} must be a finite number, got an int too large "
-                                 "for a float") from None
-    if not (0.0 < v < np.inf or zero and v == 0.0):
-        raise InvalidConfigError(
-            f"{name} must be a finite number {'>=' if zero else '>'} 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run.
@@ -127,19 +115,16 @@ class TrainConfig:
     alpha_eta: float | None = None
 
     def __post_init__(self):
-        _check_rate("eta", self.eta)
+        _check_positive("eta", self.eta)
         if not isinstance(self.shuffle, bool):
             raise InvalidConfigError(f"shuffle must be a bool, got {self.shuffle!r}")
-        for key, low in (("epochs", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < low):
-                raise InvalidConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+        _check_int("epochs", self.epochs, 1)
+        _check_int("seed", self.seed, 0)
         if self.init not in INIT_KINDS:
             raise InvalidConfigError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
-        _check_rate("init_scale", self.init_scale, zero=True)
+        _check_positive("init_scale", self.init_scale, zero=True)
         if self.alpha_eta is not None:
-            _check_rate("alpha_eta", self.alpha_eta)
+            _check_positive("alpha_eta", self.alpha_eta)
 
     @property
     def effective_alpha_eta(self) -> float:
@@ -349,9 +334,9 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
     """
     if not isinstance(model, RbfModel):
         raise InvalidModelError(f"sgd_step updates one RbfModel, not a {type(model).__name__}")
-    _check_rate("eta", eta)
+    _check_positive("eta", eta)
     a_eta = eta if alpha_eta is None else alpha_eta
-    _check_rate("alpha_eta", a_eta)
+    _check_positive("alpha_eta", a_eta)
     rows, alphas = _params([model])
     e = _step(rows[0], alphas[0], kernel_vector(x, model.bank), d, eta, a_eta,
               model.bank, model.mode, epoch, sample)

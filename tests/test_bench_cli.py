@@ -588,7 +588,19 @@ class TestCompareReportErrors:
         pytest.param(lambda m: {**m, "divergences": {"co": [{"epoch": 1}]},
                                 "divergence_count": 1},
                      "manifest records divergence_count 1 for malformed divergence records",
-                     id="divergence-record-without-run")])
+                     id="divergence-record-without-run"),
+        pytest.param(lambda m: {**m, "divergences": {**m["divergences"], "manual": [{"run": 7}]},
+                                "divergence_count": 1},
+                     "manifest records divergence_count 1 for malformed divergence records",
+                     id="divergence-run-out-of-range"),
+        pytest.param(lambda m: {**m, "divergences": {**m["divergences"], "bogus": []}},
+                     "manifest records divergence_count 0 for malformed divergence records",
+                     id="divergence-key-not-an-architecture"),
+        pytest.param(lambda m: {**m, "divergences": {**m["divergences"],
+                                                     "co": [{"run": 1}, {"run": 1}]},
+                                "divergence_count": 2},
+                     "manifest records divergence_count 2 for malformed divergence records",
+                     id="divergence-run-twice")])
     def test_report_on_malformed_manifest_exits_2(self, tiny_funapprox, tmp_path,
                                                    capsys, edit, message):
         clone = tmp_path / "clone"
@@ -836,11 +848,14 @@ class TestCli:
 
 
 class TestBenchmarkTracer:
-    def test_every_trace_target_resolves_to_a_callable(self, monkeypatch):
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("spans")
+
+    def test_every_trace_target_resolves_to_a_callable(self, spans):
         # the benchmark's traced run wraps these names and stops at a missing
         # one, so a rename must fail here as well
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        spans = importlib.import_module("spans")
         assert spans.TARGETS
         for _layer, target, _count in spans.TARGETS:
             module_name, attr_path = target.split(":")
@@ -848,3 +863,15 @@ class TestBenchmarkTracer:
             for name in attr_path.split("."):
                 obj = getattr(obj, name, None)
             assert callable(obj), target
+
+    def test_install_wraps_and_uninstall_restores(self, spans):
+        # the traced run installs the tracer in the process it measures
+        original = bench.fit
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert bench.fit is not original
+            assert bench.fit.__wrapped__ is original
+        finally:
+            tracer.uninstall()
+        assert bench.fit is original

@@ -108,6 +108,13 @@ class TestSubtractiveClustering:
             SubtractiveConfig(0.5, accept_ratio=0.1, reject_ratio=0.2)
         with pytest.raises(InvalidConfigError):
             SubtractiveConfig(0.5, max_centers=0)
+        with pytest.raises(InvalidConfigError, match="influence_radius"):
+            SubtractiveConfig(np.inf)
+        with pytest.raises(InvalidConfigError, match="squash_radius"):
+            SubtractiveConfig(0.3, squash_radius=np.nan)
+        # a fractional cap used to select ceil(cap) centers
+        with pytest.raises(InvalidConfigError, match="max_centers"):
+            SubtractiveConfig(0.3, max_centers=1.5)
 
     def test_default_squash_is_one_and_a_half_influence(self):
         cfg = SubtractiveConfig(0.2)
@@ -151,6 +158,9 @@ class TestGridCenters:
     def test_bad_step(self):
         with pytest.raises(InvalidConfigError):
             grid_centers([(0.0, 1.0)], 0.0)
+        for step in (np.inf, True):
+            with pytest.raises(InvalidConfigError, match="step"):
+                grid_axes([(0.0, 1.0)], step)
 
 
 class TestFixedCenters:

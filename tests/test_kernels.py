@@ -67,6 +67,10 @@ class TestGaussianKernel:
             GaussianParams(0.0)
         with pytest.raises(InvalidConfigError):
             GaussianParams(-1.0)
+        # a finite number, never a bool or text
+        for sigma in (True, np.inf, "1"):
+            with pytest.raises(InvalidConfigError, match="sigma"):
+                GaussianParams(sigma)
 
 
 class TestCosineKernel:
@@ -126,6 +130,8 @@ class TestCosineKernel:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(InvalidConfigError):
             CosineParams(0.0)
+        with pytest.raises(InvalidConfigError, match="epsilon"):
+            CosineParams(np.inf)
 
 
 class TestKernelVector:
@@ -221,6 +227,17 @@ class TestKernelMatrix:
         assert Phi.shape == (1 + 4 * 2, 11)
         for s in range(11):
             np.testing.assert_array_equal(Phi[:, s], kernel_vector(X[:, s], bank))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_samples_rejected(self, value):
+        # unchecked, inf gives NaN responses and RuntimeWarnings
+        bank = make_bank(np.ones((2, 3)))
+        X = np.ones((2, 4))
+        X[1, 2] = value
+        with pytest.raises(InvalidConfigError, match="non-finite"):
+            kernel_matrix(X, bank)
+        with pytest.raises(InvalidConfigError, match="non-finite"):
+            kernel_vector(X[:, 2], bank)
 
     def test_single_column(self):
         bank = make_bank(np.ones((2, 1)))

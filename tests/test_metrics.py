@@ -142,6 +142,9 @@ class TestConfusion:
             confusion(np.array([0, 3]), np.array([0, 1]), 3)
         with pytest.raises(InvalidConfigError):
             confusion(np.array([0, 1]), np.array([0, -1]), 3)
+        for n_classes in (1, 2.5, True):
+            with pytest.raises(InvalidConfigError, match="n_classes"):
+                confusion(np.array([0, 1]), np.array([0, 1]), n_classes)
 
     def test_counts_validation(self):
         with pytest.raises(InvalidConfigError):

@@ -446,3 +446,13 @@ class TestSerialization:
         path.write_text(json.dumps({**doc, "class_labels": ["x"]}))
         with pytest.raises(InvalidModelError):
             load_model(path)
+
+    @pytest.mark.parametrize("key", ["sigma", "epsilon"])
+    def test_text_kernel_parameter_is_an_invalid_config_error(self, tmp_path, key):
+        # well-formed JSON whose kernel parameter is not a number
+        path = tmp_path / "model.json"
+        save_model(random_model(np.random.default_rng(43), CoFusion()), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "bank": {**doc["bank"], key: "1"}}))
+        with pytest.raises(InvalidConfigError, match=key):
+            load_model(path)

@@ -195,6 +195,11 @@ class TestSquareWave:
             square_wave(10, 3)
         with pytest.raises(InvalidConfigError):
             square_wave(10, 0)
+        # integers only: 4.5 samples used to give 5
+        with pytest.raises(InvalidConfigError, match="n_samples"):
+            square_wave(4.5, 2)
+        with pytest.raises(InvalidConfigError, match="period"):
+            square_wave(4, 4.0)
 
 
 class TestPlantResponse:
@@ -256,3 +261,15 @@ class TestGenSysid:
     def test_negative_variance_rejected(self):
         with pytest.raises(InvalidConfigError):
             gen_sysid(noise_variance=-0.1)
+        # an infinite variance used to give infinite targets
+        with pytest.raises(InvalidConfigError, match="noise_variance"):
+            gen_sysid(noise_variance=np.inf)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("make", [load_iris, gen_sysid], ids=["iris", "sysid"])
+def test_seed_must_be_an_integer_at_least_zero(make, seed):
+    # unchecked, -1 and 1.5 raised NumPy's ValueError and TypeError, and True
+    # was taken as seed 1
+    with pytest.raises(InvalidConfigError, match="seed"):
+        make(seed=seed)

@@ -311,6 +311,18 @@ class TestFit:
                 TrainConfig(eta=0.01, epochs=1, init="keep"))
         np.testing.assert_array_equal(head_params(model), head_params(start))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_samples(self, value):
+        # unchecked, an inf sample made fit report DivergenceError(1, 1, nan)
+        model, X, D, eta = fit_problem("adaptive", 1, 6, seed=71)
+        X[0, 3] = value
+        start = model.copy()
+        with pytest.raises(InvalidConfigError, match="non-finite"):
+            forward(model, X[:, 3])
+        with pytest.raises(InvalidConfigError, match="non-finite"):
+            fit(model, X, D, TrainConfig(eta=eta, epochs=1))
+        np.testing.assert_array_equal(head_params(model), head_params(start))
+
     def test_rejects_bad_shapes(self):
         rng = np.random.default_rng(54)
         bank = small_bank(rng)
