@@ -28,8 +28,8 @@ import numpy as np
 from . import reference
 from .centers import SubtractiveConfig, fixed_centers, subtractive_clustering
 from .errors import (DataFormatError, DivergenceError, InvalidConfigError,
-                     MissingArtifactsError, _check_int, _check_positive, _read_csv,
-                     _write_csv)
+                     MissingArtifactsError, _check_choice, _check_int, _check_names,
+                     _check_positive, _read_csv, _write_csv)
 from .kernels import CosineParams, GaussianParams, KernelBank, kernel_matrix
 from .metrics import (_METRIC_TABLE_CSV, ErrorSurface, accuracy, confusion,
                       error_surface, format_percent, format_youden,
@@ -96,35 +96,17 @@ class ExperimentConfig:
     sysid_centers: str = "symmetric"
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise InvalidConfigError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if not isinstance(self.architectures, (tuple, list)):
-            raise InvalidConfigError(
-                f"architectures must be a sequence of names, got {self.architectures!r}")
-        archs = tuple(self.architectures)
-        if not archs:
-            raise InvalidConfigError("at least one architecture is required")
-        for a in archs:
-            if a not in ARCHITECTURES:
-                raise InvalidConfigError(
-                    f"unknown architecture {a!r}; expected a subset of {ARCHITECTURES}")
-        if len(set(archs)) != len(archs):
-            raise InvalidConfigError(f"duplicate architecture in {archs}")
-        object.__setattr__(self, "architectures", archs)
+        _check_choice("task", self.task, TASKS)
+        object.__setattr__(self, "architectures",
+                           _check_names("architectures", self.architectures, ARCHITECTURES))
         for key in ("epochs", "eta"):
             if getattr(self, key) is None:
                 object.__setattr__(self, key, TASK_DEFAULTS[self.task][key])
         for key, low in (("runs", 1), ("seed", 0), ("jobs", 1), ("epochs", 1)):
             _check_int(key, getattr(self, key), low, types=int)  # JSON: no NumPy scalars
         _check_positive("eta", self.eta, types=(int, float))
-        if self.funapprox_target not in FUNAPPROX_TARGETS:
-            raise InvalidConfigError(
-                f"unknown funapprox target {self.funapprox_target!r}; "
-                f"expected one of {FUNAPPROX_TARGETS}")
-        if self.sysid_centers not in tuple(SYSID_CENTER_SETS):
-            raise InvalidConfigError(
-                f"unknown sysid center set {self.sysid_centers!r}; "
-                f"expected one of {tuple(SYSID_CENTER_SETS)}")
+        _check_choice("funapprox_target", self.funapprox_target, FUNAPPROX_TARGETS)
+        _check_choice("sysid_centers", self.sysid_centers, SYSID_CENTER_SETS)
 
 
 def _iris_bank(X_train: np.ndarray, sigma: float) -> KernelBank:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
-                     _check_int, _check_positive)
+                     _check_int, _check_number, _check_positive)
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,11 @@ class SubtractiveConfig:
         _check_positive("influence_radius", self.influence_radius)
         if self.squash_radius is not None:
             _check_positive("squash_radius", self.squash_radius)
-        if not (0 < self.reject_ratio <= self.accept_ratio <= 1):
-            raise InvalidConfigError(
-                "need 0 < reject_ratio <= accept_ratio <= 1, got "
-                f"reject={self.reject_ratio}, accept={self.accept_ratio}"
-            )
+        reject = _check_number("reject_ratio", self.reject_ratio)
+        accept = _check_number("accept_ratio", self.accept_ratio)
+        if not (0 < reject <= accept <= 1):
+            raise InvalidConfigError("need 0 < reject_ratio <= accept_ratio <= 1, got "
+                                     f"reject={self.reject_ratio}, accept={self.accept_ratio}")
         if self.max_centers is not None:
             _check_int("max_centers", self.max_centers, 1)
 

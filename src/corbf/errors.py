@@ -1,11 +1,12 @@
 """Exception types raised by the corbf package, its one CSV format and its
-one rule for numeric settings.
+one rule for each kind of setting.
 
 Every error carries enough structure (dimensions, indices, file names) for a
 caller to act on it programmatically instead of parsing the message.
 _write_csv and _read_csv write and parse every CSV artifact; the reader
-reports any malformed line as a DataFormatError. _check_positive and
-_check_int check every numeric setting.
+reports any malformed line as a DataFormatError. _check_number,
+_check_positive and _check_int check every numeric setting, and
+_check_choice and _check_names every named one.
 """
 
 from __future__ import annotations
@@ -102,16 +103,26 @@ class MissingArtifactsError(CorbfError):
         )
 
 
-def _check_positive(name: str, value, zero: bool = False,
-                    types: tuple = (int, float, np.integer, np.floating)) -> None:
-    """Raise InvalidConfigError unless value is one of types, not a bool, and
-    converts to a finite float > 0 (>= 0 if zero)."""
+def _check_number(name: str, value,
+                  types: tuple = (int, float, np.integer, np.floating)) -> float:
+    """value as a float; raise InvalidConfigError unless it is one of types,
+    not a bool, and finite."""
     try:
         v = float(value) if isinstance(value, types) and not isinstance(value, bool) else np.nan
     except OverflowError:
         raise InvalidConfigError(f"{name} must be a finite number, got an int too large "
                                  "for a float") from None
-    if not (0.0 < v < np.inf or zero and v == 0.0):
+    if not np.isfinite(v):
+        raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
+    return v
+
+
+def _check_positive(name: str, value, zero: bool = False,
+                    types: tuple = (int, float, np.integer, np.floating)) -> None:
+    """Raise InvalidConfigError unless value passes _check_number and is > 0
+    (>= 0 if zero)."""
+    v = _check_number(name, value, types)
+    if not (v > 0.0 or zero and v == 0.0):
         raise InvalidConfigError(
             f"{name} must be a finite number {'>=' if zero else '>'} 0, got {value!r}")
 
@@ -120,6 +131,24 @@ def _check_int(name: str, value, low: int, types: tuple = (int, np.integer)) -> 
     """Raise InvalidConfigError unless value is one of types, not a bool, and >= low."""
     if not isinstance(value, types) or isinstance(value, bool) or value < low:
         raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    """Raise InvalidConfigError unless value is a str and one of choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvalidConfigError(f"{name} must be one of {tuple(choices)}, got {value!r}")
+
+
+def _check_names(name: str, values, choices) -> tuple:
+    """values as a tuple; raise InvalidConfigError unless it is a non-empty
+    list or tuple of distinct names that each pass _check_choice."""
+    if not (isinstance(values, (list, tuple)) and values):
+        raise InvalidConfigError(f"{name} must be a non-empty list or tuple, got {values!r}")
+    for value in values:
+        _check_choice(f"every entry of {name}", value, choices)
+    if len(set(values)) < len(values):
+        raise InvalidConfigError(f"{name} repeats a name: {values!r}")
+    return tuple(values)
 
 
 def _write_csv(path: str | os.PathLike, header, rows) -> None:

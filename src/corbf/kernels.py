@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, _check_positive
+from .errors import DimensionMismatchError, InvalidConfigError, _check_names, _check_positive
 
 KERNEL_NAMES = ("gaussian", "cosine")
 
@@ -65,13 +65,10 @@ class KernelBank:
             )
         if not np.all(np.isfinite(centers)):
             raise InvalidConfigError("centers contain non-finite values")
-        if len(set(self.kernel_order)) != len(self.kernel_order):
-            raise InvalidConfigError(f"duplicate kernel in order {self.kernel_order}")
-        for name in self.kernel_order:
-            if name not in KERNEL_NAMES:
-                raise InvalidConfigError(f"unknown kernel {name!r}")
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "kernel_order",
+                           _check_names("kernel_order", self.kernel_order, KERNEL_NAMES))
 
     @property
     def input_dim(self) -> int:

@@ -28,6 +28,7 @@ from .errors import (
     InvalidConfigError,
     InvalidModelError,
     PartitionError,
+    _check_number,
 )
 from .kernels import (
     CosineParams,
@@ -49,15 +50,13 @@ class FixedFusion:
     alpha_cosine: float = 0.5
 
     def __post_init__(self):
-        for name, a in (("alpha_gaussian", self.alpha_gaussian),
-                        ("alpha_cosine", self.alpha_cosine)):
+        for name in ("alpha_gaussian", "alpha_cosine"):
+            a = _check_number(f"FixedFusion {name}", getattr(self, name))
             if not (0.0 <= a <= 1.0):
                 raise InvalidConfigError(f"FixedFusion {name} must be in [0, 1], got {a}")
         s = self.alpha_gaussian + self.alpha_cosine
         if abs(s - 1.0) > 1e-12:
-            raise InvalidConfigError(
-                f"FixedFusion coefficients must sum to 1, got {s!r}"
-            )
+            raise InvalidConfigError(f"FixedFusion coefficients must sum to 1, got {s!r}")
 
 
 @dataclass
@@ -72,10 +71,8 @@ class AdaptiveFusion:
     alpha_cosine: float = 0.5
 
     def __post_init__(self):
-        for name, a in (("alpha_gaussian", self.alpha_gaussian),
-                        ("alpha_cosine", self.alpha_cosine)):
-            if not np.isfinite(a):
-                raise InvalidConfigError(f"AdaptiveFusion {name} must be finite, got {a}")
+        for name in ("alpha_gaussian", "alpha_cosine"):
+            _check_number(f"AdaptiveFusion {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -104,24 +101,19 @@ class RbfModel:
     def __post_init__(self):
         weights = np.array(self.weights, dtype=np.float64)
         K, L = self.bank.n_centers, self.bank.n_kernels
-        if isinstance(self.mode, CoFusion):
-            if weights.shape != (K, L):
-                raise InvalidModelError(
-                    f"CoFusion weights must have shape ({K}, {L}), got {weights.shape}"
-                )
-        elif isinstance(self.mode, (FixedFusion, AdaptiveFusion)):
-            if weights.shape != (K,):
-                raise InvalidModelError(
-                    f"{type(self.mode).__name__} weights must have shape ({K},), got {weights.shape}"
-                )
-        else:
+        if not isinstance(self.mode, (FixedFusion, AdaptiveFusion, CoFusion)):
             raise InvalidModelError(f"unknown fusion mode {self.mode!r}")
+        shape = (K, L) if isinstance(self.mode, CoFusion) else (K,)
+        if weights.shape != shape:
+            raise InvalidModelError(f"{type(self.mode).__name__} weights must have shape "
+                                    f"{shape}, got {weights.shape}")
         if not np.all(np.isfinite(weights)):
             raise InvalidModelError("weights contain non-finite values")
-        if not np.isfinite(self.bias):
-            raise InvalidModelError(f"bias is non-finite: {self.bias}")
+        try:
+            self.bias = _check_number("bias", self.bias)
+        except InvalidConfigError as exc:
+            raise InvalidModelError(str(exc)) from None
         self.weights = weights
-        self.bias = float(self.bias)
 
     def copy(self) -> "RbfModel":
         mode = self.mode
@@ -355,20 +347,18 @@ class Scenario4Center:
             denom = float(np.linalg.norm(t)) * float(np.linalg.norm(c))
             return float(np.arccos(np.clip(np.dot(t, c) / denom, -1.0, 1.0)))
 
-        def cos_resp(c):
-            num = float(np.dot(t, c))
-            return num / (float(np.linalg.norm(t)) * float(np.linalg.norm(c)) + cosine.epsilon)
-
         a1a, a2a = angle(self.center1_a), angle(self.center2_a)
         a1b, a2b = angle(self.center1_b), angle(self.center2_b)
+        # cosine responses of c1_a, c2_a, c1_b, c2_b at the test point
+        r = kernel_vector(t, KernelBank(self.centers(), cosine=cosine,
+                                        kernel_order=("cosine",))).tolist()[1:]
         return {
             "dist_gap_1": dist(self.center1_a) - dist(self.center2_b),
             "dist_gap_2": dist(self.center2_a) - dist(self.center1_b),
             "angle_margin_1": a1a - a1b,
             "angle_margin_2": a1b - a2b,
             "angle_margin_3": a2b - a2a,
-            "cosine_sum_gap": (cos_resp(self.center1_a) + cos_resp(self.center2_a))
-            - (cos_resp(self.center1_b) + cos_resp(self.center2_b)),
+            "cosine_sum_gap": (r[0] + r[1]) - (r[2] + r[3]),
         }
 
     def verify(self, atol: float = 1e-9, cosine: CosineParams = CosineParams()) -> None:
@@ -416,7 +406,7 @@ def _bank_from_dict(d: dict) -> KernelBank:
         centers=np.array(d["centers"], dtype=np.float64),
         gaussian=GaussianParams(sigma=d["sigma"]),
         cosine=CosineParams(epsilon=d["epsilon"]),
-        kernel_order=tuple(d["kernel_order"]),
+        kernel_order=d["kernel_order"],
     )
 
 
@@ -427,7 +417,7 @@ def _head_to_dict(model: RbfModel) -> dict:
 
 def _head_from_dict(d: dict, bank: KernelBank) -> RbfModel:
     return RbfModel(bank, _mode_from_dict(d["mode"]),
-                    np.array(d["weights"], dtype=np.float64), d["bias"])
+                    np.array(d["weights"], dtype=np.float64), float(d["bias"]))
 
 
 def save_model(model: RbfModel | MultiHeadRbfModel, path: str | os.PathLike) -> None:

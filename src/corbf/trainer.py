@@ -59,6 +59,7 @@ from .errors import (
     EmptyInputError,
     InvalidConfigError,
     InvalidModelError,
+    _check_choice,
     _check_int,
     _check_positive,
     _float_or_na,
@@ -120,8 +121,7 @@ class TrainConfig:
             raise InvalidConfigError(f"shuffle must be a bool, got {self.shuffle!r}")
         _check_int("epochs", self.epochs, 1)
         _check_int("seed", self.seed, 0)
-        if self.init not in INIT_KINDS:
-            raise InvalidConfigError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
+        _check_choice("init", self.init, INIT_KINDS)
         _check_positive("init_scale", self.init_scale, zero=True)
         if self.alpha_eta is not None:
             _check_positive("alpha_eta", self.alpha_eta)
@@ -267,19 +267,19 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
     return idx, Z, A, list(zip(range(0, 2 * n, 2), rows, *C.T.tolist())), Dmat[:, idx].tolist()
 
 
-def _replay(heads: list, X: np.ndarray, Dmat: np.ndarray, cfg: TrainConfig,
+def _replay(heads: list, Phi: np.ndarray, Dmat: np.ndarray, cfg: TrainConfig,
             rows: np.ndarray, alphas: np.ndarray, epochs: int) -> DivergenceError | None:
     """The divergence of epochs 1..epochs of fit as sgd_step steps them:
-    copies of rows and alphas train by sgd_step's arithmetic, each epoch in
-    the order fit drew from its shuffle stream. Returns the first failure
-    (None if none)."""
+    copies of rows and alphas train by sgd_step's arithmetic on fit's design
+    Phi, each epoch in the order fit drew from its shuffle stream. Returns
+    the first failure (None if none)."""
     bank, mode = heads[0].bank, heads[0].mode
     # kernel_matrix's columns are kernel_vector's, bit for bit
-    Phi = np.ascontiguousarray(kernel_matrix(X, bank).T)
+    Phi = np.ascontiguousarray(Phi.T)
     rows, alphas = rows.copy(), alphas.copy()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
     for t in range(1, epochs + 1):
-        order = rng.permutation(X.shape[1]) if cfg.shuffle else range(X.shape[1])
+        order = rng.permutation(len(Phi)) if cfg.shuffle else range(len(Phi))
         failed: list[DivergenceError] = []
         for row, alpha, d in zip(rows, alphas, Dmat.tolist()):
             try:
@@ -594,7 +594,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         if adaptive:
             # the loop's steps round otherwise than sgd_step: report its
             # failure when it fails in the same epoch
-            replay = _replay(heads, X, Dmat, cfg, *start, exc.epoch)
+            replay = _replay(heads, Phi, Dmat, cfg, *start, exc.epoch)
             if replay is not None and replay.epoch == exc.epoch:
                 raise replay from None
         raise

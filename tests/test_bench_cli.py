@@ -110,12 +110,19 @@ class TestExperimentConfig:
                dict(architectures=2),
                dict(funapprox_target="nope"),
                dict(sysid_centers="nope"),
-               dict(sysid_centers=["symmetric"])]
+               dict(sysid_centers=["symmetric"]),
+               dict(architectures="manual")]
         for overrides in bad:
             kwargs = dict(task="iris")
             kwargs.update(overrides)
             with pytest.raises(InvalidConfigError):
                 ExperimentConfig(**kwargs)
+        # every named setting refuses an empty, missing, bare or nested name,
+        # and says which setting it refused
+        for key in ("task", "architectures", "funapprox_target", "sysid_centers"):
+            for value in ((), None, "gaussian", [["gaussian"]]):
+                with pytest.raises(InvalidConfigError, match=key):
+                    ExperimentConfig(**{"task": "iris", key: value})
 
     def test_unwritable_out_dir(self, tmp_path):
         blocker = tmp_path / "file"

@@ -108,6 +108,11 @@ class TestSubtractiveClustering:
             SubtractiveConfig(0.5, accept_ratio=0.1, reject_ratio=0.2)
         with pytest.raises(InvalidConfigError):
             SubtractiveConfig(0.5, max_centers=0)
+        for ratios in (dict(accept_ratio=True), dict(accept_ratio="0.5"),
+                       dict(accept_ratio=1.0, reject_ratio=True),
+                       dict(reject_ratio="0.5")):
+            with pytest.raises(InvalidConfigError, match="ratio"):
+                SubtractiveConfig(0.5, **ratios)
         with pytest.raises(InvalidConfigError, match="influence_radius"):
             SubtractiveConfig(np.inf)
         with pytest.raises(InvalidConfigError, match="squash_radius"):

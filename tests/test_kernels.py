@@ -253,11 +253,16 @@ class TestKernelBank:
         assert bank.n_centers == 5
         assert bank.n_kernels == 2
         assert bank.vector_len == 11
+        # a list order is stored as the tuple the frozen bank needs
+        order = KernelBank(np.zeros((3, 5)), kernel_order=["cosine", "gaussian"]).kernel_order
+        assert type(order) is tuple and order == ("cosine", "gaussian")
 
     def test_duplicate_kernel_order_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            KernelBank(np.zeros((2, 1)), GaussianParams(), CosineParams(),
-                       kernel_order=("gaussian", "gaussian"))
+        # and an empty, missing, bare or nested order, each named as kernel_order
+        for order in (("gaussian", "gaussian"), (), None, "gaussian", [["gaussian"]]):
+            with pytest.raises(InvalidConfigError, match="kernel_order"):
+                KernelBank(np.zeros((2, 1)), GaussianParams(), CosineParams(),
+                           kernel_order=order)
 
     def test_empty_centers_rejected(self):
         with pytest.raises(InvalidConfigError):

@@ -180,11 +180,17 @@ class TestValidation:
             FixedFusion(0.6, 0.6)
         with pytest.raises(InvalidConfigError):
             FixedFusion(-0.1, 1.1)
+        for pair in ((True, False), ("1", 0.0)):
+            with pytest.raises(InvalidConfigError, match="alpha_gaussian"):
+                FixedFusion(*pair)
 
     def test_adaptive_fusion_allows_nonconvex_but_finite(self):
         AdaptiveFusion(1.7, -0.4)
         with pytest.raises(InvalidConfigError):
             AdaptiveFusion(np.inf, 0.0)
+        for a in (True, "1"):
+            with pytest.raises(InvalidConfigError, match="alpha_gaussian"):
+                AdaptiveFusion(a, 0.5)
 
     def test_weight_shape_must_match_mode(self):
         rng = np.random.default_rng(31)
@@ -203,6 +209,9 @@ class TestValidation:
         w[1, 1] = np.nan
         with pytest.raises(InvalidModelError):
             RbfModel(bank, CoFusion(), w)
+        for bias in (np.inf, True, "1"):
+            with pytest.raises(InvalidModelError, match="bias"):
+                RbfModel(bank, CoFusion(), np.zeros((4, 2)), bias=bias)
 
     def test_multihead_requires_shared_bank(self):
         rng = np.random.default_rng(33)
