@@ -1,18 +1,18 @@
 """Benchmark harness: run the three tasks across architectures and seeds.
 
 An experiment = one task x a set of architectures x `runs` seeded repetitions.
-Artifacts per architecture: per-run learning-curve CSVs, a mean curve CSV,
-task-specific outputs (iris metric tables, function-approximation error
-surfaces and test-error listings, system-identification predicted-vs-actual
-traces), plus one JSON manifest describing the whole experiment: the fields
-of its ExperimentConfig (except out_dir), the settings every run of the task
-fixes, what the runs did and the environment they ran in (versions, cores,
-BLAS thread variables). config_from_manifest reads the config back by the
-same fields. Re-running it reproduces the curve files byte for byte:
-every random stream derives from seed + run_index and aggregation order is
-fixed by run index, never by completion order. Each run's results keep the
-arrays training and evaluation produced; the artifact writers turn them into
-Python floats.
+Artifacts: each architecture's run and mean learning curves and the kinds of
+file that ARCH_ARTIFACTS, the one naming table, lists for its task (funapprox
+error surfaces and test errors, the sysid predicted-vs-actual trace), all
+named by artifact_name; the iris metric tables of IRIS_TABLES; and one JSON
+manifest describing the whole experiment: the fields of its ExperimentConfig
+(except out_dir), the settings every run of the task fixes, what the runs did
+and the environment they ran in (versions, cores, BLAS thread variables).
+config_from_manifest reads the config back by the same fields. Re-running it
+reproduces the curve files byte for byte: every random stream derives from
+seed + run_index and aggregation order is fixed by run index, never by
+completion order. Each run's results keep the arrays training and evaluation
+produced; the artifact writers turn them into Python floats.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def _single_head(bank: KernelBank, arch: str) -> RbfModel:
 
 
 def _multi_head(bank: KernelBank, arch: str, labels: tuple) -> MultiHeadRbfModel:
-    heads = tuple(_single_head(bank, arch) for _ in labels)
-    return MultiHeadRbfModel(heads, tuple(labels))
+    return MultiHeadRbfModel(tuple(_single_head(bank, arch) for _ in labels), labels)
 
 
 def _train_config(cfg: ExperimentConfig, run_seed: int) -> TrainConfig:
@@ -144,19 +143,11 @@ def _fixed_settings(cfg: ExperimentConfig) -> dict:
             "alpha_eta": train.alpha_eta}
 
 
-def _phase_metrics(model: MultiHeadRbfModel, X: np.ndarray, y: np.ndarray,
-                   labels: tuple) -> dict:
+def _phase_metrics(model: MultiHeadRbfModel, X: np.ndarray, y: np.ndarray) -> tuple:
+    """(accuracy, per-class (sensitivity, specificity, Youden)) of model on X."""
     pred = model.decide_batch(X)
-    cc = confusion(pred, y, len(labels))
-    ssy = sensitivity_specificity_youden(cc)
-    return {
-        "accuracy": accuracy(pred, y),
-        "per_class": [
-            {"label": str(labels[i]), "sensitivity": ssy[i][0],
-             "specificity": ssy[i][1], "youden": ssy[i][2]}
-            for i in range(len(labels))
-        ],
-    }
+    return (accuracy(pred, y),
+            sensitivity_specificity_youden(confusion(pred, y, model.n_classes)))
 
 
 def _problem(cfg: ExperimentConfig, run_seed: int) -> tuple:
@@ -179,19 +170,18 @@ def _problem(cfg: ExperimentConfig, run_seed: int) -> tuple:
 
 
 def _run_single(cfg: ExperimentConfig, arch: str, run: int) -> dict:
-    """Train run `run` of arch under cfg and measure it: its trace, which
-    carries the final model, and iris's per-phase metrics or funapprox's test
-    errors. The surfaces and traces that need a model are run_experiment's."""
+    """Train run `run` of arch under cfg and measure it: its trace (with the
+    final model) and iris's (training, testing) _phase_metrics or funapprox's
+    test errors. The surfaces and traces that need a model are run_experiment's."""
     run_seed = cfg.seed + run
     try:
         X, D, bank, test = _problem(cfg, run_seed)
         if cfg.task == "iris":
-            labels = test.class_labels
-            trace = fit(_multi_head(bank, arch, labels), X, D,
+            trace = fit(_multi_head(bank, arch, test.class_labels), X, D,
                         _train_config(cfg, run_seed), eval_set=(test.X, test.y))
-            return {"trace": trace, "metrics": {
-                "training": _phase_metrics(trace.final_model, X, D, labels),
-                "testing": _phase_metrics(trace.final_model, test.X, test.y, labels)}}
+            return {"trace": trace, "metrics": (
+                _phase_metrics(trace.final_model, X, D),
+                _phase_metrics(trace.final_model, test.X, test.y))}
         trace = fit(_single_head(bank, arch), X, D, _train_config(cfg, run_seed))
     except DivergenceError as exc:
         return {"diverged": {"epoch": exc.epoch, "sample": exc.sample,
@@ -202,12 +192,25 @@ def _run_single(cfg: ExperimentConfig, arch: str, run: int) -> dict:
     return {"trace": trace}
 
 
+# The kinds of file each architecture of a task writes besides its curves,
+# named by artifact_name, and the iris metric tables (accuracy first, then one
+# per entry of a sensitivity_specificity_youden tuple) with their formatters.
+ARCH_ARTIFACTS = {"iris": (), "funapprox": ("train_surface", "test_surface", "test_errors"),
+                  "sysid": ("trace",)}
+IRIS_TABLES = {"iris_accuracy.csv": format_percent, "iris_sensitivity.csv": format_percent,
+               "iris_specificity.csv": format_percent, "iris_youden.csv": format_youden}
+
+
+def artifact_name(task: str, arch: str, kind: str) -> str:
+    return f"{task}_{arch}_{kind}.csv"
+
+
 def curve_name(task: str, arch: str, run_index: int) -> str:
-    return f"{task}_{arch}_run{run_index:02d}_curve.csv"
+    return artifact_name(task, arch, f"run{run_index:02d}_curve")
 
 
 def mean_curve_name(task: str, arch: str) -> str:
-    return f"{task}_{arch}_mean_curve.csv"
+    return artifact_name(task, arch, "mean_curve")
 
 
 def expected_artifacts(task: str, architectures: tuple[str, ...]) -> list[str]:
@@ -220,19 +223,9 @@ def expected_artifacts(task: str, architectures: tuple[str, ...]) -> list[str]:
     """
     names = [MANIFEST_NAME]
     for arch in architectures:
-        names.append(mean_curve_name(task, arch))
-    if task == "iris" and architectures:
-        names += ["iris_accuracy.csv", "iris_sensitivity.csv",
-                  "iris_specificity.csv", "iris_youden.csv"]
-    elif task == "funapprox":
-        for arch in architectures:
-            names += [f"funapprox_{arch}_train_surface.csv",
-                      f"funapprox_{arch}_test_surface.csv",
-                      f"funapprox_{arch}_test_errors.csv"]
-    else:
-        for arch in architectures:
-            names.append(f"sysid_{arch}_trace.csv")
-    return names
+        names += [mean_curve_name(task, arch),
+                  *(artifact_name(task, arch, kind) for kind in ARCH_ARTIFACTS[task])]
+    return names + (list(IRIS_TABLES) if task == "iris" and architectures else [])
 
 
 _SURFACE_CSV = {"x1": float, "x2": float, "error": float}
@@ -278,20 +271,11 @@ def _mean_curve_trace(results: list[dict]) -> TrainTrace:
     mse_db is the mean of per-run dB curves (the convention used for reported
     curve comparisons); accuracies are plain means."""
     traces = [r["trace"] for r in results]
-
-    def _mean(key):
-        if getattr(traces[0], key) is None:
-            return None
-        return np.stack([getattr(t, key) for t in traces]).mean(axis=0)
-
-    return TrainTrace(
-        epochs=traces[0].epochs,
-        mse_linear=_mean("mse_linear"),
-        mse_db=_mean("mse_db"),
-        train_acc=_mean("train_acc"),
-        test_acc=_mean("test_acc"),
-        final_model=None,
-    )
+    means = {}
+    for key in (f.name for f in fields(TrainTrace)[1:-1]):  # between epochs and final_model
+        columns = [getattr(t, key) for t in traces]
+        means[key] = None if columns[0] is None else np.stack(columns).mean(axis=0)
+    return TrainTrace(epochs=traces[0].epochs, final_model=None, **means)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -301,24 +285,20 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1))
 
 
-def _iris_metric_rows(per_arch: dict[str, list[dict]]) -> dict[str, list[tuple]]:
-    """Build (architecture, phase, class, mean, std) rows for the four tables."""
-    tables: dict[str, list[tuple]] = {
-        "accuracy": [], "sensitivity": [], "specificity": [], "youden": []}
+def _iris_metric_rows(per_arch: dict[str, list[dict]]) -> list[list[tuple]]:
+    """(architecture, phase, class, mean, std) rows of each IRIS_TABLES table,
+    in its order; a mean and std over the runs whose value is defined."""
+    tables: list[list[tuple]] = [[] for _ in IRIS_TABLES]
     for arch, results in per_arch.items():
-        for phase in ("training", "testing"):
-            accs = [r["metrics"][phase]["accuracy"] for r in results]
-            tables["accuracy"].append((arch, phase, "all", *_mean_std(accs)))
-            labels = [c["label"] for c in results[0]["metrics"][phase]["per_class"]]
+        labels = results[0]["trace"].final_model.class_labels
+        for p, phase in enumerate(("training", "testing")):
+            accs, ssy = zip(*(r["metrics"][p] for r in results))
+            tables[0].append((arch, phase, "all", *_mean_std(accs)))
             for ci, label in enumerate(labels):
-                for key in ("sensitivity", "specificity", "youden"):
-                    vals = [r["metrics"][phase]["per_class"][ci][key] for r in results]
-                    known = [v for v in vals if v is not None]
-                    if known:
-                        mean, std = _mean_std(known)
-                    else:
-                        mean, std = None, None
-                    tables[key].append((arch, phase, label, mean, std))
+                for k, table in enumerate(tables[1:]):
+                    known = [v[ci][k] for v in ssy if v[ci][k] is not None]
+                    table.append((arch, phase, label,
+                                  *(_mean_std(known) if known else (None, None))))
     return tables
 
 
@@ -383,24 +363,21 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         final = res["trace"].final_model
         if cfg.task == "funapprox":
             truth = funapprox_target(cfg.funapprox_target)
-            for split, box in (("train", (-1.0, 1.0)), ("test", (-0.9, 0.9))):
-                _write_surface_csv(_path(f"funapprox_{arch}_{split}_surface.csv"),
+            for kind, box in (("train_surface", (-1.0, 1.0)), ("test_surface", (-0.9, 0.9))):
+                _write_surface_csv(_path(artifact_name(cfg.task, arch, kind)),
                                    error_surface(final, [box, box], 0.2, truth))
-            _write_test_errors_csv(_path(f"funapprox_{arch}_test_errors.csv"),
+            _write_test_errors_csv(_path(artifact_name(cfg.task, arch, "test_errors")),
                                    {run: r["test_errors"] for run, r in completed[arch]})
         elif cfg.task == "sysid":
             X, _, _, signal = _problem(cfg, cfg.seed + run)
-            _write_sysid_trace_csv(_path(f"sysid_{arch}_trace.csv"),
+            _write_sysid_trace_csv(_path(artifact_name(cfg.task, arch, "trace")),
                                    {"input": signal.u, "actual": signal.y_clean,
                                     "predicted": forward_batch(final, X)})
 
     if cfg.task == "iris" and ran:
         tables = _iris_metric_rows({a: [r for _, r in completed[a]] for a in ran})
-        for key, formatter in (("accuracy", format_percent),
-                               ("sensitivity", format_percent),
-                               ("specificity", format_percent),
-                               ("youden", format_youden)):
-            write_metric_table(_path(f"iris_{key}.csv"), tables[key], formatter)
+        for (name, formatter), rows in zip(IRIS_TABLES.items(), tables):
+            write_metric_table(_path(name), rows, formatter)
 
     from . import __version__
     manifest = {**asdict(cfg), **_fixed_settings(cfg),
@@ -552,8 +529,8 @@ def compare_report(results_dir: str | os.PathLike) -> str:
 
     rows: list[tuple[str, str, str]] = []
     if cfg.task == "iris":
-        table = _read_metric_table(
-            os.path.join(results_dir, "iris_accuracy.csv")) if ran else []
+        table = _read_metric_table(  # the accuracy table comes first
+            os.path.join(results_dir, next(iter(IRIS_TABLES)))) if ran else []
         acc = {(r["architecture"], r["phase"]): (r["mean"], r["std"]) for r in table}
         rows += [(f"iris {phase} accuracy % ({arch})", _fmt(acc.get((arch, phase))),
                   _fmt(reference.REPORTED_IRIS_ACCURACY.get((arch, phase))))
@@ -570,7 +547,7 @@ def compare_report(results_dir: str | os.PathLike) -> str:
                  for arch in ran]
         max_abs = {}
         for arch in ran:
-            path = os.path.join(results_dir, f"funapprox_{arch}_test_errors.csv")
+            path = os.path.join(results_dir, artifact_name(cfg.task, arch, "test_errors"))
             errs = read_test_errors_csv(path)
             if not errs:
                 raise DataFormatError("no test errors", path=path)

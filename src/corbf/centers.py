@@ -64,6 +64,8 @@ def subtractive_clustering(X: np.ndarray, config: SubtractiveConfig) -> np.ndarr
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:
         raise EmptyInputError("subtractive_clustering needs a non-empty (a, S) matrix")
+    if not np.isfinite(X).all():
+        raise InvalidConfigError("samples contain non-finite values")
     a, S = X.shape
 
     lo = X.min(axis=1, keepdims=True)
@@ -115,7 +117,8 @@ def grid_axes(bounds: list[tuple[float, float]], step: float) -> list[np.ndarray
     if not bounds:
         raise EmptyInputError("grid needs at least one axis")
     axes = []
-    for lo, hi in bounds:
+    for pair in bounds:
+        lo, hi = (_check_number("axis bound", v) for v in pair)
         if hi < lo:
             raise InvalidConfigError(f"axis bounds reversed: ({lo}, {hi})")
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1

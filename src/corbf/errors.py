@@ -5,8 +5,9 @@ Every error carries enough structure (dimensions, indices, file names) for a
 caller to act on it programmatically instead of parsing the message.
 _write_csv and _read_csv write and parse every CSV artifact; the reader
 reports any malformed line as a DataFormatError. _check_number,
-_check_positive and _check_int check every numeric setting, and
-_check_choice and _check_names every named one.
+_check_positive and _check_int check every numeric setting,
+_check_choice and _check_names every named one, and _check_labels every
+vector of class labels.
 """
 
 from __future__ import annotations
@@ -149,6 +150,20 @@ def _check_names(name: str, values, choices) -> tuple:
     if len(set(values)) < len(values):
         raise InvalidConfigError(f"{name} repeats a name: {values!r}")
     return tuple(values)
+
+
+def _check_labels(name: str, labels, n_classes: int) -> np.ndarray:
+    """labels as class indices; raise InvalidConfigError unless each is a
+    whole number in [0, n_classes)."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.ndim != 1:
+        raise DimensionMismatchError("class labels", 1, labels.ndim)
+    # NaN fails the first test, +-inf the range
+    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        raise InvalidConfigError(f"{name} must be whole numbers in [0, {n_classes}), "
+                                 f"got {float(labels[bad][0])!r}")
+    return labels.astype(np.int64)
 
 
 def _write_csv(path: str | os.PathLike, header, rows) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .centers import grid_axes, grid_centers
 from .errors import (DimensionMismatchError, EmptyInputError, InvalidConfigError,
-                     _check_int, _float_or_na, _write_csv)
+                     _check_int, _check_labels, _float_or_na, _write_csv)
 from .model import RbfModel, forward_batch
 
 
@@ -90,20 +90,15 @@ class ConfusionCounts:
 
 
 def confusion(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> ConfusionCounts:
-    """One-vs-rest confusion counts from predicted and true class indices."""
-    pred = np.asarray(pred).astype(np.int64)
-    truth = np.asarray(truth).astype(np.int64)
+    """One-vs-rest confusion counts from predicted and true class indices,
+    each a whole number in [0, n_classes)."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise DimensionMismatchError("pred vs truth", truth.size, pred.size)
     if pred.size == 0:
         raise EmptyInputError("confusion needs at least one sample")
     _check_int("n_classes", n_classes, 2)
-    for name, v in (("pred", pred), ("truth", truth)):
-        if v.min() < 0 or v.max() >= n_classes:
-            raise InvalidConfigError(
-                f"{name} labels must lie in [0, {n_classes}), got "
-                f"[{v.min()}, {v.max()}]"
-            )
+    pred, truth = _check_labels("pred", pred, n_classes), _check_labels("truth", truth, n_classes)
     tp = np.empty(n_classes, dtype=np.int64)
     fp = np.empty(n_classes, dtype=np.int64)
     tn = np.empty(n_classes, dtype=np.int64)

@@ -193,7 +193,8 @@ class MultiHeadRbfModel:
     Heads are trained against one-hot targets; predicted class is the argmax
     head output with lowest-index tie-break. Heads may use different fusion
     modes: such a model evaluates, saves and loads, but fit trains one mode
-    at a time and raises InvalidModelError for it.
+    at a time and raises InvalidModelError for it. class_labels names the
+    heads: distinct strs, one per head ("0", "1", ... when left empty).
     """
 
     heads: list[RbfModel]
@@ -211,12 +212,14 @@ class MultiHeadRbfModel:
             raise InvalidModelError(
                 "heads with adaptive fusion must each own a distinct mode instance"
             )
-        if not self.class_labels:
-            self.class_labels = tuple(str(i) for i in range(len(self.heads)))
-        if len(self.class_labels) != len(self.heads):
-            raise InvalidModelError(
-                f"{len(self.class_labels)} labels for {len(self.heads)} heads"
-            )
+        labels = self.class_labels
+        if isinstance(labels, (list, tuple)) and not labels:
+            labels = tuple(str(i) for i in range(len(self.heads)))
+        if not (isinstance(labels, (list, tuple)) and len(labels) == len(self.heads)
+                and all(isinstance(s, str) for s in labels) and len(set(labels)) == len(labels)):
+            raise InvalidModelError(f"class_labels must be a list or tuple of {len(self.heads)} "
+                                    f"distinct str, one per head, got {labels!r}")
+        self.class_labels = tuple(labels)
 
     @property
     def bank(self) -> KernelBank:
@@ -459,7 +462,7 @@ def load_model(path: str | os.PathLike) -> RbfModel | MultiHeadRbfModel:
         if fmt == MULTIHEAD_FORMAT:
             bank = _bank_from_dict(doc["bank"])
             heads = [_head_from_dict(h, bank) for h in doc["heads"]]
-            return MultiHeadRbfModel(heads, tuple(doc["class_labels"]))
+            return MultiHeadRbfModel(heads, doc["class_labels"])
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"not valid JSON: {exc}", path=str(path)) from exc
     except (KeyError, AttributeError, ValueError, TypeError) as exc:

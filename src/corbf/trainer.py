@@ -61,6 +61,7 @@ from .errors import (
     InvalidModelError,
     _check_choice,
     _check_int,
+    _check_labels,
     _check_positive,
     _float_or_na,
     _read_csv,
@@ -344,26 +345,13 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
     return e
 
 
-def _class_labels(labels, n_classes: int) -> np.ndarray:
-    """Class labels as indices; each must be a whole number in [0, n_classes)."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim != 1:
-        raise DimensionMismatchError("class labels", 1, labels.ndim)
-    # NaN fails the first test, +-inf the range
-    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= n_classes)
-    if bad.any():
-        raise InvalidConfigError(
-            f"labels must be whole numbers in [0, {n_classes}), got {float(labels[bad][0])!r}")
-    return labels.astype(np.int64)
-
-
 def _targets_matrix(model, D) -> tuple[np.ndarray, np.ndarray | None]:
     """Normalize targets to a (C, S) matrix; returns (targets, labels or None)."""
     D = np.asarray(D, dtype=np.float64)
     if isinstance(model, MultiHeadRbfModel):
         C = model.n_classes
         if D.ndim == 1:
-            labels = _class_labels(D, C)
+            labels = _check_labels("labels", D, C)
             return (np.arange(C)[:, None] == labels).astype(np.float64), labels
         if D.shape[0] != C:
             raise DimensionMismatchError("target rows vs heads", C, D.shape[0])
@@ -445,7 +433,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if eval_set is not None and classification:
         X_eval, d_eval = eval_set
         eval_phi = kernel_matrix(np.asarray(X_eval, dtype=np.float64), bank)
-        eval_labels = _class_labels(d_eval, model.n_classes)
+        eval_labels = _check_labels("labels", d_eval, model.n_classes)
         if len(eval_labels) != eval_phi.shape[1]:
             raise DimensionMismatchError("eval labels vs samples", eval_phi.shape[1],
                                          len(eval_labels))

@@ -120,6 +120,11 @@ class TestSubtractiveClustering:
         # a fractional cap used to select ceil(cap) centers
         with pytest.raises(InvalidConfigError, match="max_centers"):
             SubtractiveConfig(0.3, max_centers=1.5)
+        # a NaN sample used to come back as centers, an infinite one to warn
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidConfigError, match="non-finite"):
+                subtractive_clustering(np.array([[0.0, 0.5, 1.0], [bad, 0.0, 1.0]]),
+                                       SubtractiveConfig(0.5))
 
     def test_default_squash_is_one_and_a_half_influence(self):
         cfg = SubtractiveConfig(0.2)
@@ -166,6 +171,9 @@ class TestGridCenters:
         for step in (np.inf, True):
             with pytest.raises(InvalidConfigError, match="step"):
                 grid_axes([(0.0, 1.0)], step)
+        for bounds in ((np.nan, 1.0), (0.0, np.inf), (0.0, "1")):
+            with pytest.raises(InvalidConfigError, match="axis bound"):
+                grid_axes([bounds], 0.5)
 
 
 class TestFixedCenters:

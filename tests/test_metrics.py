@@ -142,6 +142,11 @@ class TestConfusion:
             confusion(np.array([0, 3]), np.array([0, 1]), 3)
         with pytest.raises(InvalidConfigError):
             confusion(np.array([0, 1]), np.array([0, -1]), 3)
+        # fractions used to truncate to a class, NaN to warn at the cast
+        for pred, truth in (([1.9, 0], [0, 1]), ([np.nan, 0], [0, 1]),
+                            ([1, 0], [0, -np.inf])):
+            with pytest.raises(InvalidConfigError, match="whole numbers"):
+                confusion(pred, truth, 2)
         for n_classes in (1, 2.5, True):
             with pytest.raises(InvalidConfigError, match="n_classes"):
                 confusion(np.array([0, 1]), np.array([0, 1]), n_classes)

@@ -243,6 +243,17 @@ class TestValidation:
         for j in range(9):
             assert preds[j] == multiclass_decision(outputs[:, j])
 
+    def test_multihead_labels_are_distinct_names(self):
+        rng = np.random.default_rng(37)
+        bank = random_bank(rng)
+        heads = [RbfModel(bank, CoFusion(), np.zeros((4, 2))) for _ in range(3)]
+        assert MultiHeadRbfModel(heads, ["a", "b", "c"]).class_labels == ("a", "b", "c")
+        assert MultiHeadRbfModel(heads).class_labels == ("0", "1", "2")
+        for labels in ("abc", ("x", "x", 1), ("x", "x", "y"), ("x", "y", 1),
+                       np.array(["a", "b", "c"])):
+            with pytest.raises(InvalidModelError, match="class_labels"):
+                MultiHeadRbfModel(heads, labels)
+
 
 class TestCenterContributions:
     def test_sums_to_forward_minus_bias(self):
@@ -452,9 +463,10 @@ class TestSerialization:
         path = tmp_path / "multi.json"
         save_model(MultiHeadRbfModel(heads), path)
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "class_labels": ["x"]}))
-        with pytest.raises(InvalidModelError):
-            load_model(path)
+        for labels in (["x"], "xy"):  # a string used to be read as its letters
+            path.write_text(json.dumps({**doc, "class_labels": labels}))
+            with pytest.raises(InvalidModelError):
+                load_model(path)
 
     @pytest.mark.parametrize("key", ["sigma", "epsilon"])
     def test_text_kernel_parameter_is_an_invalid_config_error(self, tmp_path, key):
