@@ -111,17 +111,22 @@ def grid_axes(bounds: list[tuple[float, float]], step: float) -> list[np.ndarray
     """Per-axis lattice coordinates lo + i*step (index times step, no drift).
 
     Per-axis count is floor((hi - lo) / step) + 1 with a small slack so that
-    spans that are exact multiples of step are not lost to rounding.
+    spans that are exact multiples of step are not lost to rounding. A span
+    of steps that overflows a float raises InvalidConfigError naming the axis.
     """
     _check_positive("step", step)
     if not bounds:
         raise EmptyInputError("grid needs at least one axis")
     axes = []
-    for pair in bounds:
+    for axis, pair in enumerate(bounds):
         lo, hi = (_check_number("axis bound", v) for v in pair)
         if hi < lo:
             raise InvalidConfigError(f"axis bounds reversed: ({lo}, {hi})")
-        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+        steps = (hi - lo) / step
+        if not np.isfinite(steps):
+            raise InvalidConfigError(f"axis {axis} ({lo}, {hi}) spans more steps of "
+                                     f"{step} than a float holds")
+        count = int(np.floor(steps + 1e-9)) + 1
         axes.append(lo + step * np.arange(count, dtype=np.float64))
     return axes
 

@@ -155,7 +155,11 @@ def _check_names(name: str, values, choices) -> tuple:
 def _check_labels(name: str, labels, n_classes: int) -> np.ndarray:
     """labels as class indices; raise InvalidConfigError unless each is a
     whole number in [0, n_classes)."""
-    labels = np.asarray(labels, dtype=np.float64)
+    try:
+        labels = np.asarray(labels, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{name} must be whole numbers in [0, {n_classes}), "
+                                 f"not numbers: {exc}") from None
     if labels.ndim != 1:
         raise DimensionMismatchError("class labels", 1, labels.ndim)
     # NaN fails the first test, +-inf the range

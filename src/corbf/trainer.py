@@ -14,8 +14,10 @@ update; blocks hold one sample when a step could expand the error, and a
 block failing the divergence check replays that way. In dataset order with
 stable steps an epoch's errors are affine in its starting rows W,
 E = F - J W^T: the routine run once from zero rows on the targets [D | DS]
-(DS the design) gives [F | J], and each epoch is two products in place,
-E = F - W J^T and W += (eta E) DS, on contiguous F^T and J^T. Adaptive fusion
+(DS the design) gives [F | J]. The epoch's increments U = (eta E) DS then
+make the next epoch's as U M, M = I - eta J^T DS (P x P, built once per
+fit), so each epoch is one sum and one small product, W += U and U <- U M.
+U comes from the errors only when the operator (re)starts. Adaptive fusion
 multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
@@ -37,10 +39,13 @@ model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
 epochs. Each epoch writes its rows (and adaptive coefficients) into a chunk
 buffer; model._thetas builds theta for the whole chunk, and one stacked
 product theta . phi evaluates it, bit for bit as one product per epoch
-would. Under the operator a chunk's epochs run first and are checked once;
-the first failing epoch and the rest of the chunk then train by blocks, as
-every epoch does otherwise. fit writes the heads once, after the last epoch
-or, on divergence, from the last completed one.
+would. Under the operator a chunk's epochs run first and are checked once,
+by a bound on their errors that needs only the rows' norms,
+|E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]|| (Cauchy-Schwarz); the first
+epoch failing it and the rest of the chunk then train by blocks, as every
+epoch does otherwise, and the next chunk takes U from its errors again;
+otherwise U is carried from chunk to chunk. fit writes the heads once,
+after the last epoch or, on divergence, from the last completed one.
 
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
 autocorrelation matrix.
@@ -239,13 +244,17 @@ def _linear_blocks(W: np.ndarray, DS: np.ndarray, Drows: np.ndarray, order, eta:
             out[idx] = E
 
 
-def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
+def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray,
+                A: np.ndarray | None = None) -> tuple:
     """One presentation block of the adaptive loop, for the samples idx.
 
     P2[s] holds sample s's Gaussian and cosine rows. Returns idx, the block's
     stacked rows Z (rows 2i, 2i + 1 are sample i's Gaussian and cosine rows),
     A = [Z Z^T | r] with a spare last column r for a head's projections Z w
     and two zero rows more, one step per sample and each head's targets.
+    A, when given, is the A of an earlier block of as many samples, rewritten
+    in place: its two last rows are still zero, and r is rewritten by every
+    head before it is read.
     Step i is (2i, rows 2i..2i + 3 of A or None, the Gram entries
     A[2i:2i + 2, 2i - 2:2i] that couple sample i to sample i - 1's
     increments). Only even samples hold rows, and not when samples i - 1, i
@@ -256,7 +265,8 @@ def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray) -> tuple:
     cols = 2 * n + 1
     R = P2[idx]
     Z = R.reshape(2 * n, -1)
-    A = np.zeros((cols + 1, cols))
+    if A is None:
+        A = np.zeros((cols + 1, cols))
     np.matmul(Z, Z.T, out=A[:-2, :-1])
     # the entries A[2i:2i + 2, 2i - 2:2i], by their offsets in A: entry
     # (2i, 2i) lies 2i (cols + 1) into it
@@ -347,12 +357,12 @@ def sgd_step(model: RbfModel, x: np.ndarray, d: float, eta: float,
 
 def _targets_matrix(model, D) -> tuple[np.ndarray, np.ndarray | None]:
     """Normalize targets to a (C, S) matrix; returns (targets, labels or None)."""
+    if isinstance(model, MultiHeadRbfModel) and np.ndim(D) == 1:
+        labels = _check_labels("labels", D, model.n_classes)
+        return (np.arange(model.n_classes)[:, None] == labels).astype(np.float64), labels
     D = np.asarray(D, dtype=np.float64)
     if isinstance(model, MultiHeadRbfModel):
         C = model.n_classes
-        if D.ndim == 1:
-            labels = _check_labels("labels", D, C)
-            return (np.arange(C)[:, None] == labels).astype(np.float64), labels
         if D.shape[0] != C:
             raise DimensionMismatchError("target rows vs heads", C, D.shape[0])
         return D, None
@@ -388,8 +398,11 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     fit trains one row of parameters per head and writes the heads at the end.
     It loops over chunks of CHUNK_EPOCHS epochs and evaluates each chunk by
     one product. Error-operator epochs (fixed and co fusion, stable steps,
-    dataset order) are checked once per chunk; the first failing one and the
-    rest of its chunk train by blocks, which raise at the first failing sample.
+    dataset order) add the epoch's increments U to the rows and make the next
+    epoch's as U M, M = I - eta J^T DS. A chunk of them is checked once, by a
+    bound on the errors from the rows' norms; the first epoch failing it and
+    the rest of its chunk train by blocks, which raise at the first failing
+    sample, so a false alarm of the bound costs only time.
     One scalar loop trains each adaptive head in turn over the epoch's order,
     one step per sample: a product reads this sample's and the next one's
     projections, a sample without one moves the carried projections by its
@@ -457,8 +470,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             DS[:, 0] = 1.0
             DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
     # Rows[i + 1] and Alphas[i + 1] receive what epoch i of a chunk trains
-    # from Rows[i] and Alphas[i]; Out[i] its errors (operator epochs), then
-    # its outputs theta . phi
+    # from Rows[i] and Alphas[i]; Out[i] its outputs theta . phi
     C = min(CHUNK_EPOCHS, cfg.epochs)
     Rows = np.empty((C + 1, *W.shape))
     Rows[0] = W
@@ -476,15 +488,22 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         width = BLOCK_SIZE if stable else 1
         operator = stable and not cfg.shuffle
         if operator:
-            # a stable epoch in dataset order makes the errors F - J W^T.
-            # [F | J] is built unchecked: a bad entry instead fails each
-            # epoch's check of F - J W^T. The epoch works on F^T and J^T,
-            # heads as rows.
+            # a stable epoch in dataset order makes the errors F - J W^T and
+            # maps its increments U to the next epoch's by U M. [F | J] is
+            # built unchecked: a bad entry instead fails every chunk's bound.
+            # F and J work transposed, heads as rows.
             FJ = np.concatenate((Drows, DS), axis=1)
             _linear_blocks(np.zeros((FJ.shape[1], DS.shape[1])), DS, FJ, range(S), eta,
                            width, None, out=FJ)
-            FT, JT = (np.ascontiguousarray(M.T) for M in np.split(FJ, [H], axis=1))
-            G, U = np.empty((H, S)), np.empty(W.shape)
+            FT, JT = (np.ascontiguousarray(B.T) for B in np.split(FJ, [H], axis=1))
+            M = np.eye(DS.shape[1]) - eta * (JT @ DS)
+            # by Cauchy-Schwarz |E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]||
+            fmax = np.abs(FT).max(axis=1)
+            jmax = np.linalg.norm(JT, axis=0).max()
+            # U is the increment of the chunk's next epoch, V the buffer it
+            # alternates with
+            U, V = np.empty(W.shape), np.empty(W.shape)
+            restart = True
 
     mse_lin = np.empty(cfg.epochs)
     train_acc = np.empty(cfg.epochs) if classification else None
@@ -492,21 +511,26 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     try:
         for t0 in range(0, cfg.epochs, C):
             # the chunk trains epochs t0 + 1 .. t0 + n; operator epochs
-            # 0 .. k - 1 pass their check, epochs k .. n - 1 train one by one
+            # 0 .. k - 1 pass their bound, epochs k .. n - 1 train one by one
             n, k = min(C, cfg.epochs - t0), 0
             if operator:
-                # each epoch E = F - W J^T and W += (eta E) DS; epochs after a
-                # failing one may overflow, and they train again below
+                # epochs after a failing one may overflow, and they train
+                # again below
                 with np.errstate(over="ignore", invalid="ignore"):
+                    if restart:
+                        # the first increment (eta E) DS from the errors
+                        # E = F - W J^T
+                        np.matmul(eta * (FT - Rows[0] @ JT), DS, out=U)
                     for i in range(n):
-                        E = Out[i]
-                        np.matmul(Rows[i], JT, out=E)
-                        np.subtract(FT, E, out=E)
-                        np.matmul(np.multiply(E, eta, out=G), DS, out=U)
                         np.add(Rows[i], U, out=Rows[i + 1])
-                E = np.abs(Out[:n], out=Out[:n])
-                ok = E.reshape(n, -1).max(axis=1) <= DIVERGENCE_LIMIT
+                        np.matmul(U, M, out=V)
+                        U, V = V, U
+                    bound = fmax + jmax * np.linalg.norm(Rows[:n], axis=2)
+                ok = (bound <= DIVERGENCE_LIMIT).all(axis=1)
                 k = n if ok.all() else int(np.argmin(ok))
+                # after blocks the next chunk takes U from its errors, as a
+                # fit starting from its rows would
+                restart = k < n
             for i in range(k, n):
                 W, alphas = Rows[i + 1], Alphas[i + 1]
                 W[...], alphas[...] = Rows[i], Alphas[i]
@@ -517,10 +541,14 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     # raises at its first failing sample
                     _linear_blocks(W, DS, Drows, order, eta, width, t0 + i + 1)
                     continue
-                # in dataset order every epoch presents the same blocks: build them once
-                if blocks is None or cfg.shuffle:
+                # in dataset order every epoch presents the same blocks: build
+                # them once; under shuffle each block position reuses its A
+                if blocks is None:
                     blocks = [_gram_block(P2, Dmat, order[lo:lo + BLOCK_SIZE])
                               for lo in range(0, S, BLOCK_SIZE)]
+                elif cfg.shuffle:
+                    blocks = [_gram_block(P2, Dmat, order[lo:lo + BLOCK_SIZE], block[2])
+                              for lo, block in zip(range(0, S, BLOCK_SIZE), blocks)]
                 # heads share only the design, the order and the blocks: each
                 # trains alone
                 failed: list[DivergenceError] = []

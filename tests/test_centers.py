@@ -175,6 +175,12 @@ class TestGridCenters:
             with pytest.raises(InvalidConfigError, match="axis bound"):
                 grid_axes([bounds], 0.5)
 
+    def test_span_of_steps_past_a_float(self):
+        # finite bounds whose span, or span in steps, overflows to inf
+        for bounds, step in (([(-1e308, 1e308)], 0.5), ([(0.0, 0.0), (0.0, 1e308)], 1e-10)):
+            with pytest.raises(InvalidConfigError, match=f"axis {len(bounds) - 1} "):
+                grid_axes(bounds, step)
+
 
 class TestFixedCenters:
     def test_scalar_list_in_order(self):

@@ -151,6 +151,12 @@ class TestConfusion:
             with pytest.raises(InvalidConfigError, match="n_classes"):
                 confusion(np.array([0, 1]), np.array([0, 1]), n_classes)
 
+    def test_labels_that_are_not_numbers(self):
+        with pytest.raises(InvalidConfigError, match="pred must be whole numbers"):
+            confusion(["a", "b"], [0, 1], 2)
+        with pytest.raises(InvalidConfigError, match="truth must be whole numbers"):
+            confusion([0, 1], [None, 1], 2)
+
     def test_counts_validation(self):
         with pytest.raises(InvalidConfigError):
             ConfusionCounts(tp=[1], fp=[0], tn=[-1], fn=[0])

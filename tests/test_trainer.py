@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -18,6 +19,7 @@ from corbf.trainer import (BLOCK_SIZE, CHUNK_EPOCHS, INIT_KINDS, TrainConfig, Tr
                            fit, learning_rate_bound, read_trace_csv,
                            sgd_step, write_trace_csv)
 
+import helpers
 from helpers import check_gradients, replay_fit, run_python
 
 
@@ -342,6 +344,12 @@ class TestFit:
         for D, eval_set in ((wrong, None), (labels, (X, wrong))):
             with pytest.raises(InvalidConfigError):
                 fit(model, X, D, TrainConfig(eta=eta, epochs=1), eval_set)
+
+    def test_rejects_labels_that_are_not_numbers(self):
+        model, X, _, eta = fit_problem("co", 3, 12, seed=70)
+        labels = np.array(["a", "b", "c"] * 4)
+        with pytest.raises(InvalidConfigError, match="labels must be whole numbers"):
+            fit(model, X, labels, TrainConfig(eta=eta, epochs=1))
 
     def test_rejects_eval_labels_of_another_count(self):
         model, X, _, eta = fit_problem("co", 3, 12, seed=70)
@@ -777,6 +785,66 @@ class TestBlockEngine:
                 np.testing.assert_array_equal(getattr(trace, name), getattr(single, name))
             np.testing.assert_array_equal(head_params(trace.final_model),
                                           head_params(single.final_model))
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_increments_carried_across_chunks_match_sequential_steps(self, mode, n_heads):
+        # in dataset order each epoch's increments are the last one's times
+        # M = I - eta J^T DS, carried from chunk to chunk
+        model, X, D, eta = fit_problem(mode, n_heads, 40, frac=1.9, seed=75)
+        assert_fit_matches_replay(model, X, D, TrainConfig(
+            eta=eta, epochs=2 * CHUNK_EPOCHS + 5, seed=9, init="keep"))
+
+    @pytest.mark.parametrize("start", ["growing", "shrinking"])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_operator_bound_false_alarm_trains_on(self, mode, n_heads, start, monkeypatch):
+        # The first epoch's errors are the largest: from zero rows to targets
+        # near 100 (growing), or from a bias of 1000 to targets near 0
+        # (shrinking). The bound max|F| + ||W|| max||J|| grows, or shrinks,
+        # with the bias, and a limit between it and every sequential error
+        # fails the bound where no step fails. Growing rows fail it from
+        # epoch 2 on, shrinking ones in epoch 1: the failing epoch and the
+        # rest of its chunk train by blocks, and the next chunk restarts the
+        # operator, which fails again on growing rows and passes on shrunk ones.
+        model, X, D, eta = fit_problem(mode, n_heads, 40, seed=76)
+        if start == "growing":
+            D = D + 100.0
+        else:
+            for h in (model.heads if n_heads > 1 else [model]):
+                h.bias = 1000.0
+        cfg = TrainConfig(eta=eta, epochs=CHUNK_EPOCHS + 3,
+                          init="zeros" if start == "growing" else "keep")
+        errors = []
+
+        def record(*args, **kwargs):
+            e = sgd_step(*args, **kwargs)
+            errors.append(abs(e))
+            return e
+
+        monkeypatch.setattr(helpers, "sgd_step", record)
+        replay_fit(model.copy(), X, D, cfg)
+        monkeypatch.setattr(trainer, "DIVERGENCE_LIMIT", 1.25 * max(errors))
+        epochs_by_blocks = []
+        linear_blocks = trainer._linear_blocks
+
+        def spy(*args, **kwargs):
+            epochs_by_blocks.append(args[6])
+            linear_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_linear_blocks", spy)
+        assert_fit_matches_replay(model.copy(), X, D, cfg)
+        # the unchecked build of [F | J], then the epochs by blocks
+        assert epochs_by_blocks == [None, *(range(2, cfg.epochs + 1) if start == "growing"
+                                            else range(1, CHUNK_EPOCHS + 1))]
+        # the second chunk starts afresh from the rows the blocks left, bit
+        # for bit as a new fit from them
+        trace = fit(model.copy(), X, D, cfg)
+        first = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=CHUNK_EPOCHS))
+        rest = fit(first.final_model, X, D, dataclasses.replace(cfg, epochs=3, init="keep"))
+        np.testing.assert_array_equal(trace.mse_linear[CHUNK_EPOCHS:], rest.mse_linear)
+        np.testing.assert_array_equal(head_params(trace.final_model),
+                                      head_params(rest.final_model))
 
     @pytest.mark.parametrize("frac", [0.5, 1.9])
     @pytest.mark.parametrize("n_heads", [1, 3])
