@@ -6,6 +6,7 @@ the influence radii are scale-free; returned centers are in original units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +108,24 @@ def subtractive_clustering(X: np.ndarray, config: SubtractiveConfig) -> np.ndarr
     return X[:, chosen].copy()
 
 
+# Points a grid may hold. 10^7 points of 2-D coordinates take 160 MB; the
+# largest grid a task builds holds 121 (funapprox's 11 x 11 training lattice
+# and error surfaces).
+GRID_POINT_LIMIT = 10**7
+
+
 def grid_axes(bounds: list[tuple[float, float]], step: float) -> list[np.ndarray]:
     """Per-axis lattice coordinates lo + i*step (index times step, no drift).
 
     Per-axis count is floor((hi - lo) / step) + 1 with a small slack so that
     spans that are exact multiples of step are not lost to rounding. A span
-    of steps that overflows a float raises InvalidConfigError naming the axis.
+    of steps that overflows a float raises InvalidConfigError naming the
+    axis, and so does a grid of more than GRID_POINT_LIMIT points.
     """
     _check_positive("step", step)
     if not bounds:
         raise EmptyInputError("grid needs at least one axis")
-    axes = []
+    starts, counts = [], []
     for axis, pair in enumerate(bounds):
         lo, hi = (_check_number("axis bound", v) for v in pair)
         if hi < lo:
@@ -126,9 +134,13 @@ def grid_axes(bounds: list[tuple[float, float]], step: float) -> list[np.ndarray
         if not np.isfinite(steps):
             raise InvalidConfigError(f"axis {axis} ({lo}, {hi}) spans more steps of "
                                      f"{step} than a float holds")
-        count = int(np.floor(steps + 1e-9)) + 1
-        axes.append(lo + step * np.arange(count, dtype=np.float64))
-    return axes
+        starts.append(lo)
+        counts.append(int(np.floor(steps + 1e-9)) + 1)
+    if math.prod(counts) > GRID_POINT_LIMIT:
+        raise InvalidConfigError(f"a grid over {list(bounds)} with step {step} holds more "
+                                 f"than {GRID_POINT_LIMIT} points")
+    return [lo + step * np.arange(count, dtype=np.float64)
+            for lo, count in zip(starts, counts)]
 
 
 def grid_centers(bounds: list[tuple[float, float]], step: float) -> np.ndarray:

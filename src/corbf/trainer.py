@@ -16,8 +16,10 @@ stable steps an epoch's errors are affine in its starting rows W,
 E = F - J W^T: the routine run once from zero rows on the targets [D | DS]
 (DS the design) gives [F | J]. The epoch's increments U = (eta E) DS then
 make the next epoch's as U M, M = I - eta J^T DS (P x P, built once per
-fit), so each epoch is one sum and one small product, W += U and U <- U M.
-U comes from the errors only when the operator (re)starts. Adaptive fusion
+fit), and W += U. U comes from the errors only when this operator
+(re)starts; _increments then makes the first GROUP_EPOCHS increments by
+single products and each later group of them as the one before it times
+M^GROUP_EPOCHS (squared once per fit), one product. Adaptive fusion
 multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
@@ -28,24 +30,30 @@ product applies the increments at the block's end. A sample without a
 product (every odd one, and an even one whose row repeats its neighbours',
 as a square-wave input's do) moves the carried projections by its coupling
 to the previous sample, four Gram entries times that sample's increments.
-All of them match repeated sgd_step calls up to rounding. Before an adaptive
-divergence the errors grow faster than exponentially, so rounding can move
-the failing value far more: when the adaptive loop fails, fit replays the
-epochs up to the failing one by sgd_step's arithmetic and reports its
-failure.
+Heads share the design, the order and the blocks (built once per fit in
+dataset order, once per epoch under shuffle). All of them match repeated
+sgd_step calls up to rounding. Before an adaptive divergence the errors grow
+faster than exponentially, so rounding can move the failing value far more:
+when the adaptive loop fails, fit replays the epochs up to the failing one
+by sgd_step's arithmetic (one step per head and presented sample, on a
+design evaluated once, in the orders of a fresh shuffle stream of the same
+seed) and reports its failure.
 
 fit trains rows of parameters, one per head (model._params reads them,
 model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
 epochs. Each epoch writes its rows (and adaptive coefficients) into a chunk
 buffer; model._thetas builds theta for the whole chunk, and one stacked
 product theta . phi evaluates it, bit for bit as one product per epoch
-would. Under the operator a chunk's epochs run first and are checked once,
-by a bound on their errors that needs only the rows' norms,
+would. Under the operator a chunk draws its increments, its rows are their
+cumulative sum (adding as W += U does, epoch by epoch), and its epochs are
+checked once, by a bound on their errors that needs only the rows' norms,
 |E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]|| (Cauchy-Schwarz); the first
-epoch failing it and the rest of the chunk then train by blocks, as every
-epoch does otherwise, and the next chunk takes U from its errors again;
-otherwise U is carried from chunk to chunk. fit writes the heads once,
-after the last epoch or, on divergence, from the last completed one.
+epoch failing it and the rest of the chunk then train by blocks, which raise
+at the first failing sample (so a false alarm costs only time), as every
+epoch does otherwise, and the next chunk restarts the operator; otherwise it
+draws on from the same groups, so chunk ends leave no trace in the bits.
+fit writes the heads once, after the last epoch or, on divergence, from the
+last completed one.
 
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
 autocorrelation matrix.
@@ -54,6 +62,7 @@ autocorrelation matrix.
 from __future__ import annotations
 
 import os
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +107,9 @@ BLOCK_SIZE = 128
 # stacked product, and the error-operator epochs of a chunk are checked
 # together. Its buffers hold one chunk's rows, errors and outputs.
 CHUNK_EPOCHS = 128
+
+# Error-operator epochs per group of increments made by one product.
+GROUP_EPOCHS = 16
 
 INIT_KINDS = ("uniform", "zeros", "keep")
 
@@ -242,6 +254,28 @@ def _linear_blocks(W: np.ndarray, DS: np.ndarray, Drows: np.ndarray, order, eta:
         W += (eta * E).T @ A
         if out is not None:
             out[idx] = E
+
+
+def _increments(U: np.ndarray, M: np.ndarray,
+                M_group: np.ndarray) -> Generator[None, np.ndarray, None]:
+    """Primed by next(), writes the next len(out) of the increments U, U M,
+    U M^2, ... into each buffer out sent to it. Each group of GROUP_EPOCHS
+    after the first is the one before it times M_group = M^GROUP_EPOCHS,
+    made when its first increment is due, whatever the buffers' lengths."""
+    G = np.empty((GROUP_EPOCHS, *U.shape))
+    G[0] = U
+    for j in range(1, GROUP_EPOCHS):
+        np.matmul(G[j - 1], M, out=G[j])
+    j = 0
+    while True:
+        out = yield
+        i = 0
+        while i < len(out):
+            if j == GROUP_EPOCHS:
+                G, j = np.matmul(G.reshape(-1, len(M)), M_group).reshape(G.shape), 0
+            m = min(len(out) - i, GROUP_EPOCHS - j)
+            out[i:i + m] = G[j:j + m]
+            i, j = i + m, j + m
 
 
 def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray,
@@ -393,28 +427,9 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     sample that fails, with the 1-based epoch and the 1-based training-set
     index (column of X) of that sample; for several heads the error value is
     the failing sample's error of largest magnitude. The model then holds the
-    parameters of the last completed epoch; a failure in epoch 1 leaves it as it was.
-
-    fit trains one row of parameters per head and writes the heads at the end.
-    It loops over chunks of CHUNK_EPOCHS epochs and evaluates each chunk by
-    one product. Error-operator epochs (fixed and co fusion, stable steps,
-    dataset order) add the epoch's increments U to the rows and make the next
-    epoch's as U M, M = I - eta J^T DS. A chunk of them is checked once, by a
-    bound on the errors from the rows' norms; the first epoch failing it and
-    the rest of its chunk train by blocks, which raise at the first failing
-    sample, so a false alarm of the bound costs only time.
-    One scalar loop trains each adaptive head in turn over the epoch's order,
-    one step per sample: a product reads this sample's and the next one's
-    projections, a sample without one moves the carried projections by its
-    coupling to the previous sample. Heads share the design, the order and
-    each block's [Z Z^T | Z w] and steps (built once per fit in dataset
-    order, once per epoch under shuffle); the block engine trains all fixed
-    or co heads at once. When the adaptive loop fails in epoch t, fit
-    replays epochs 1..t with sgd_step's arithmetic from the starting rows and
-    coefficients, on a design evaluated once, each in the order drawn from a
-    fresh shuffle stream of the same seed, and raises the replay's (epoch,
-    sample, value) if the replay fails in epoch t, its own otherwise; the
-    replay costs one such step per head and presented sample.
+    parameters of the last completed epoch; a failure in epoch 1 leaves it as
+    it was. An adaptive failure in epoch t is reported as sgd_step's replay
+    of epochs 1..t reports it when the replay fails in epoch t too.
     Fixed and adaptive fusion need a Gaussian and a cosine kernel
     (InvalidModelError); co does not. Heads of different fusion modes are
     refused (InvalidModelError).
@@ -496,13 +511,14 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             _linear_blocks(np.zeros((FJ.shape[1], DS.shape[1])), DS, FJ, range(S), eta,
                            width, None, out=FJ)
             FT, JT = (np.ascontiguousarray(B.T) for B in np.split(FJ, [H], axis=1))
-            M = np.eye(DS.shape[1]) - eta * (JT @ DS)
+            # M = I - eta J^T DS, built in place, and M^GROUP_EPOCHS by squarings
+            M = JT @ DS
+            M *= -eta
+            M.flat[::M.shape[0] + 1] += 1.0
+            M_group = np.linalg.matrix_power(M, GROUP_EPOCHS)
             # by Cauchy-Schwarz |E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]||
             fmax = np.abs(FT).max(axis=1)
             jmax = np.linalg.norm(JT, axis=0).max()
-            # U is the increment of the chunk's next epoch, V the buffer it
-            # alternates with
-            U, V = np.empty(W.shape), np.empty(W.shape)
             restart = True
 
     mse_lin = np.empty(cfg.epochs)
@@ -520,11 +536,12 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     if restart:
                         # the first increment (eta E) DS from the errors
                         # E = F - W J^T
-                        np.matmul(eta * (FT - Rows[0] @ JT), DS, out=U)
-                    for i in range(n):
-                        np.add(Rows[i], U, out=Rows[i + 1])
-                        np.matmul(U, M, out=V)
-                        U, V = V, U
+                        increments = _increments(np.matmul(eta * (FT - Rows[0] @ JT), DS),
+                                                 M, M_group)
+                        next(increments)
+                    increments.send(Rows[1:n + 1])
+                    # Rows[i + 1] = Rows[i] + U_i, epoch after epoch
+                    np.cumsum(Rows[:n + 1], axis=0, out=Rows[:n + 1])
                     bound = fmax + jmax * np.linalg.norm(Rows[:n], axis=2)
                 ok = (bound <= DIVERGENCE_LIMIT).all(axis=1)
                 k = n if ok.all() else int(np.argmin(ok))

@@ -181,6 +181,13 @@ class TestGridCenters:
             with pytest.raises(InvalidConfigError, match=f"axis {len(bounds) - 1} "):
                 grid_axes(bounds, step)
 
+    def test_point_count_past_the_cap(self):
+        # 1e10 points per axis raised MemoryError; the cap counts every axis
+        for bounds, step in (([(0.0, 1.0)], 1e-10), ([(0.0, 1.0)] * 3, 1e-3)):
+            with pytest.raises(InvalidConfigError, match="more than 10000000 points"):
+                grid_axes(bounds, step)
+        assert len(grid_axes([(0.0, 1.0)], 1e-6)[0]) == 10**6 + 1
+
 
 class TestFixedCenters:
     def test_scalar_list_in_order(self):

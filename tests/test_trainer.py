@@ -15,8 +15,8 @@ from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
                            kernel_matrix, kernel_vector)
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
                          MultiHeadRbfModel, RbfModel, forward, forward_batch)
-from corbf.trainer import (BLOCK_SIZE, CHUNK_EPOCHS, INIT_KINDS, TrainConfig, TrainTrace,
-                           fit, learning_rate_bound, read_trace_csv,
+from corbf.trainer import (BLOCK_SIZE, CHUNK_EPOCHS, GROUP_EPOCHS, INIT_KINDS, TrainConfig,
+                           TrainTrace, fit, learning_rate_bound, read_trace_csv,
                            sgd_step, write_trace_csv)
 
 import helpers
@@ -843,6 +843,116 @@ class TestBlockEngine:
         first = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=CHUNK_EPOCHS))
         rest = fit(first.final_model, X, D, dataclasses.replace(cfg, epochs=3, init="keep"))
         np.testing.assert_array_equal(trace.mse_linear[CHUNK_EPOCHS:], rest.mse_linear)
+        np.testing.assert_array_equal(head_params(trace.final_model),
+                                      head_params(rest.final_model))
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_grouped_increments_are_repeated_products(self, mode, n_heads, monkeypatch):
+        # each group of GROUP_EPOCHS increments is the group before it times
+        # M^GROUP_EPOCHS; over more than three groups, drawn by buffers that
+        # end inside groups and at their ends, they stay U M^i. At frac 1.9
+        # fit's M has eigenvalues near -0.9, which flip sign and decay slowly.
+        model, X, D, eta = fit_problem(mode, n_heads, 40, frac=1.9, seed=75)
+        made = []
+        increments = trainer._increments
+
+        def spy(*args):
+            made.append(args)
+            return increments(*args)
+
+        monkeypatch.setattr(trainer, "_increments", spy)
+        fit(model, X, D, TrainConfig(eta=eta, epochs=1, init="keep"))
+        U, M, M_group = made[0]
+        want = [U]
+        for _ in range(3 * GROUP_EPOCHS + 4):
+            want.append(want[-1] @ M)
+        got = np.empty((len(want), *U.shape))
+        drawn = increments(U, M, M_group)
+        next(drawn)
+        ends = [0, 1, 7, GROUP_EPOCHS, 2 * GROUP_EPOCHS + 3, len(got)]
+        for lo, hi in zip(ends, ends[1:]):
+            drawn.send(got[lo:hi])
+        np.testing.assert_array_equal(got[:GROUP_EPOCHS], want[:GROUP_EPOCHS])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(U).max())
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_chunks_inside_operator_groups_leave_no_trace(self, mode, n_heads,
+                                                          monkeypatch):
+        # the operator's groups run on across chunk ends: chunks of 5 and 24
+        # epochs, which end inside groups, leave every column and row of a
+        # fit bit for bit as one chunk does
+        model, X, D, eta = fit_problem(mode, n_heads, 24, frac=1.9, seed=62)
+        rng = np.random.default_rng(63)
+        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, 24)) if n_heads == 3 else None
+        cfg = TrainConfig(eta=eta, epochs=3 * GROUP_EPOCHS + 7, seed=5, init="keep")
+        assert cfg.epochs < CHUNK_EPOCHS
+        whole = fit(model.copy(), X, D, cfg, eval_set)
+        for chunk in (5, 24):
+            monkeypatch.setattr(trainer, "CHUNK_EPOCHS", chunk)
+            trace = fit(model.copy(), X, D, cfg, eval_set)
+            for name in ("mse_linear", "mse_db", "train_acc", "test_acc"):
+                got, want = getattr(trace, name), getattr(whole, name)
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(head_params(trace.final_model),
+                                          head_params(whole.final_model))
+
+    @pytest.mark.parametrize("start", ["growing", "shrinking"])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_operator_bound_false_alarm_restarts_in_mid_group(self, mode, n_heads, start,
+                                                              monkeypatch):
+        # The false alarms of test_operator_bound_false_alarm_trains_on, in
+        # chunks of 24 epochs. A chunk draws 24 increments, one group and half
+        # of the next, so a restart leaves a group half drawn. Growing rows
+        # fail the bound from epoch 2 on, and every chunk's restart at once;
+        # shrinking ones fail it in the first chunk, and the operator
+        # restarted at epoch 25 runs to the end, across chunk ends inside
+        # its groups.
+        C = 24
+        model, X, D, eta = fit_problem(mode, n_heads, 40, seed=76)
+        if start == "growing":
+            D = D + 100.0
+        else:
+            for h in (model.heads if n_heads > 1 else [model]):
+                h.bias = 1000.0
+        cfg = TrainConfig(eta=eta, epochs=3 * C + 5,
+                          init="zeros" if start == "growing" else "keep")
+        errors = []
+
+        def record(*args, **kwargs):
+            e = sgd_step(*args, **kwargs)
+            errors.append(abs(e))
+            return e
+
+        monkeypatch.setattr(helpers, "sgd_step", record)
+        replay_fit(model.copy(), X, D, cfg)
+        monkeypatch.setattr(trainer, "DIVERGENCE_LIMIT", 1.25 * max(errors))
+        monkeypatch.setattr(trainer, "CHUNK_EPOCHS", C)
+        epochs_by_blocks = []
+        linear_blocks = trainer._linear_blocks
+
+        def spy(*args, **kwargs):
+            epochs_by_blocks.append(args[6])
+            linear_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_linear_blocks", spy)
+        assert_fit_matches_replay(model.copy(), X, D, cfg)
+        # the unchecked build of [F | J], then the epochs by blocks
+        assert epochs_by_blocks == [None, *(range(2, cfg.epochs + 1) if start == "growing"
+                                            else range(1, C + 1))]
+        # from its last restart the fit is, bit for bit, a new fit from the
+        # rows the blocks left
+        restart = 3 * C if start == "growing" else C
+        trace = fit(model.copy(), X, D, cfg)
+        first = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=restart))
+        rest = fit(first.final_model, X, D,
+                   dataclasses.replace(cfg, epochs=cfg.epochs - restart, init="keep"))
+        np.testing.assert_array_equal(trace.mse_linear[restart:], rest.mse_linear)
         np.testing.assert_array_equal(head_params(trace.final_model),
                                       head_params(rest.final_model))
 
