@@ -19,7 +19,8 @@ make the next epoch's as U M, M = I - eta J^T DS (P x P, built once per
 fit), and W += U. U comes from the errors only when this operator
 (re)starts; _increments then makes the first GROUP_EPOCHS increments by
 single products and each later group of them as the one before it times
-M^GROUP_EPOCHS (squared once per fit), one product. Adaptive fusion
+M^GROUP_EPOCHS (squared once per fit, when a first later group is due), one
+product. Adaptive fusion
 multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
@@ -42,9 +43,11 @@ seed) and reports its failure.
 fit trains rows of parameters, one per head (model._params reads them,
 model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
 epochs. Each epoch writes its rows (and adaptive coefficients) into a chunk
-buffer; model._thetas builds theta for the whole chunk, and one stacked
-product theta . phi evaluates it, bit for bit as one product per epoch
-would. Under the operator a chunk draws its increments, its rows are their
+buffer; model._thetas builds theta for the whole chunk, and theta . phi is
+one product per group of GROUP_EPOCHS epochs, counted from the fit's first
+epoch and padded with zero rows where a chunk ends inside a group, so an
+epoch's outputs are bit for bit the same whatever the chunking. Under the
+operator a chunk draws its increments, its rows are their
 cumulative sum (adding as W += U does, epoch by epoch), and its epochs are
 checked once, by a bound on their errors that needs only the rows' norms,
 |E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]|| (Cauchy-Schwarz); the first
@@ -61,8 +64,9 @@ autocorrelation matrix.
 
 from __future__ import annotations
 
+import functools
 import os
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +107,13 @@ DIVERGENCE_LIMIT = 1e12
 # RSS by 16%, blocks of 128 by 2%.
 BLOCK_SIZE = 128
 
-# Epochs per chunk of fit: a chunk's epochs are evaluated together, by one
-# stacked product, and the error-operator epochs of a chunk are checked
-# together. Its buffers hold one chunk's rows, errors and outputs.
+# Epochs per chunk of fit: a chunk's epochs are evaluated together, and the
+# error-operator epochs of a chunk are checked together. Its buffers hold one
+# chunk's rows and outputs.
 CHUNK_EPOCHS = 128
 
-# Error-operator epochs per group of increments made by one product.
+# Epochs per group: error-operator increments made by one product, and
+# epochs evaluated by one product.
 GROUP_EPOCHS = 16
 
 INIT_KINDS = ("uniform", "zeros", "keep")
@@ -215,12 +220,15 @@ def _first_failure(failed: list[DivergenceError], order) -> DivergenceError:
                            float(errors[np.argmax(np.abs(errors))]))
 
 
-def _linear_blocks(W: np.ndarray, DS: np.ndarray, Drows: np.ndarray, order, eta: float,
-                   width: int, epoch: int | None, out: np.ndarray | None = None) -> None:
+def _linear_blocks(W: np.ndarray | None, DS: np.ndarray, Drows: np.ndarray, order,
+                   eta: float, width: int, epoch: int | None,
+                   out: np.ndarray | None = None) -> None:
     """Present the design rows DS[order] (targets Drows[order]) in blocks of
     width samples, updating W (heads as rows) in place as one sgd_step per
     row and head would, up to rounding; out[order], when given, receives the
-    errors (samples as rows, heads as columns).
+    errors (samples as rows, heads as columns). W None, unchecked only,
+    starts from zero rows and keeps nothing but out: the first block's
+    residuals are its targets, and the last block's update is skipped.
 
     From W, a block of rows A makes errors E that solve the unit
     lower-triangular system (I + eta * tril(A A^T, -1)) E = D - A W^T
@@ -236,10 +244,11 @@ def _linear_blocks(W: np.ndarray, DS: np.ndarray, Drows: np.ndarray, order, eta:
     first failing sample: a pivoted solve can spoil the errors before a
     divergence, sequential steps cannot.
     """
+    keep = W is not None
     for lo in range(0, len(order), width):
         idx = order[lo:lo + width]
         A = DS[idx]
-        E = Drows[idx] - A @ W.T
+        E = Drows[idx] if W is None else Drows[idx] - A @ W.T
         if width > 1:
             T = np.tril(A @ A.T, -1)
             T *= eta
@@ -251,16 +260,18 @@ def _linear_blocks(W: np.ndarray, DS: np.ndarray, Drows: np.ndarray, order, eta:
                                       float(E[0, np.argmax(np.abs(E[0]))]))
             _linear_blocks(W, DS, Drows, idx, eta, 1, epoch, out)
             continue
-        W += (eta * E).T @ A
         if out is not None:
             out[idx] = E
+        if keep or lo + width < len(order):
+            step = (eta * E).T @ A
+            W = step if W is None else np.add(W, step, out=W)
 
 
 def _increments(U: np.ndarray, M: np.ndarray,
-                M_group: np.ndarray) -> Generator[None, np.ndarray, None]:
+                M_group: Callable[[], np.ndarray]) -> Generator[None, np.ndarray, None]:
     """Primed by next(), writes the next len(out) of the increments U, U M,
     U M^2, ... into each buffer out sent to it. Each group of GROUP_EPOCHS
-    after the first is the one before it times M_group = M^GROUP_EPOCHS,
+    after the first is the one before it times M_group() = M^GROUP_EPOCHS,
     made when its first increment is due, whatever the buffers' lengths."""
     G = np.empty((GROUP_EPOCHS, *U.shape))
     G[0] = U
@@ -272,7 +283,7 @@ def _increments(U: np.ndarray, M: np.ndarray,
         i = 0
         while i < len(out):
             if j == GROUP_EPOCHS:
-                G, j = np.matmul(G.reshape(-1, len(M)), M_group).reshape(G.shape), 0
+                G, j = np.matmul(G.reshape(-1, len(M)), M_group()).reshape(G.shape), 0
             m = min(len(out) - i, GROUP_EPOCHS - j)
             out[i:i + m] = G[j:j + m]
             i, j = i + m, j + m
@@ -485,13 +496,27 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             DS[:, 0] = 1.0
             DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
     # Rows[i + 1] and Alphas[i + 1] receive what epoch i of a chunk trains
-    # from Rows[i] and Alphas[i]; Out[i] its outputs theta . phi
+    # from Rows[i] and Alphas[i]
     C = min(CHUNK_EPOCHS, cfg.epochs)
     Rows = np.empty((C + 1, *W.shape))
     Rows[0] = W
     Alphas = np.empty((C + 1, *alphas.shape))
     Alphas[:] = alphas
-    Out = np.empty((C, H, S))
+    # theta . phi of epoch e (0-based) is row block e % GROUP_EPOCHS of one
+    # (GROUP_EPOCHS H, P) @ (P, S) product per group of epochs, with zero
+    # rows where a chunk ends inside a group. A GEMM row's bits depend on the
+    # product's shape and the row's place in it, not on the other rows, so
+    # they do not depend on the chunking. The operator's group length serves:
+    # 16 rows already run two to five times as fast as 16 one-epoch products
+    # (P from 11 to 243, one OpenBLAS thread).
+    # Theta and the outputs hold a chunk's groups; a chunk starts inside a
+    # group only when C is not a multiple of G.
+    G = GROUP_EPOCHS
+    span = C if C % G == 0 else C + G - 1
+    Theta = np.zeros((-(-span // G) * G, H, len(Phi)))
+    Out = np.empty((len(Theta), H, S))
+    if eval_phi is not None:
+        Out_eval = np.empty((len(Theta), H, eval_phi.shape[1]))
     operator = False
     if adaptive:
         P2 = np.stack((Pg.T, Pc.T), axis=1)
@@ -508,14 +533,14 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             # built unchecked: a bad entry instead fails every chunk's bound.
             # F and J work transposed, heads as rows.
             FJ = np.concatenate((Drows, DS), axis=1)
-            _linear_blocks(np.zeros((FJ.shape[1], DS.shape[1])), DS, FJ, range(S), eta,
-                           width, None, out=FJ)
+            _linear_blocks(None, DS, FJ, range(S), eta, width, None, out=FJ)
             FT, JT = (np.ascontiguousarray(B.T) for B in np.split(FJ, [H], axis=1))
-            # M = I - eta J^T DS, built in place, and M^GROUP_EPOCHS by squarings
+            # M = I - eta J^T DS, built in place, and M^GROUP_EPOCHS by
+            # squarings, on first use and once per fit
             M = JT @ DS
             M *= -eta
             M.flat[::M.shape[0] + 1] += 1.0
-            M_group = np.linalg.matrix_power(M, GROUP_EPOCHS)
+            M_group = functools.cache(lambda: np.linalg.matrix_power(M, GROUP_EPOCHS))
             # by Cauchy-Schwarz |E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]||
             fmax = np.abs(FT).max(axis=1)
             jmax = np.linalg.norm(JT, axis=0).max()
@@ -606,14 +631,21 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     W[c, 0], alphas[c] = b, (ag, ac)
                 if failed:
                     raise _first_failure(failed, order)
-            # theta . phi of all of the chunk's epochs by one stacked product
+            # the chunk's epochs are rows lo .. hi - 1 of its groups
             done = slice(t0, t0 + n)
-            Theta = _thetas(Rows[1:n + 1], Alphas[1:n + 1], bank)
-            Y = np.matmul(Theta, Phi, out=Out[:n])
+            lo = t0 % G
+            hi = lo + n
+            end = -(-hi // G) * G
+            Theta[:lo], Theta[hi:end] = 0.0, 0.0
+            Theta[lo:hi] = _thetas(Rows[1:n + 1], Alphas[1:n + 1], bank)
+            groups = Theta[:end].reshape(-1, G * H, len(Phi))
+            np.matmul(groups, Phi, out=Out[:end].reshape(len(groups), G * H, -1))
+            Y = Out[lo:hi]
             if classification:
                 train_acc[done] = np.mean(np.argmax(Y, axis=1) == truth, axis=1)
             if eval_phi is not None:
-                preds = np.argmax(np.matmul(Theta, eval_phi), axis=1)
+                np.matmul(groups, eval_phi, out=Out_eval[:end].reshape(len(groups), G * H, -1))
+                preds = np.argmax(Out_eval[lo:hi], axis=1)
                 test_acc[done] = np.mean(preds == eval_labels, axis=1)
             err = np.subtract(Dmat, Y, out=Y)
             # each epoch's np.add.reduce(err * err, axis=None) / err.size

@@ -956,6 +956,103 @@ class TestBlockEngine:
         np.testing.assert_array_equal(head_params(trace.final_model),
                                       head_params(rest.final_model))
 
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_chunks_inside_evaluation_groups_leave_no_trace(self, mode, n_heads, shuffle,
+                                                            monkeypatch):
+        # fit evaluates GROUP_EPOCHS epochs by one product, the groups counted
+        # from the fit's first epoch: chunks of 5, 16, 17 and 24 epochs, which
+        # start and end inside groups, leave every column and row of fits
+        # ending one epoch before, at and after a group's end, and one epoch
+        # after the first default chunk, bit for bit as the default chunks do
+        G = GROUP_EPOCHS
+        model, X, D, eta = fit_problem(mode, n_heads, 24, frac=0.5 if mode == "adaptive"
+                                       else 1.9, seed=62)
+        rng = np.random.default_rng(63)
+        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, 24)) if n_heads == 3 else None
+
+        def run(epochs):
+            return fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, seed=5,
+                                                       shuffle=shuffle, init="keep"),
+                       eval_set)
+
+        whole = {T: run(T) for T in (3 * G - 1, 3 * G, 3 * G + 1, CHUNK_EPOCHS + 1)}
+        for chunk in (5, G, G + 1, 24):
+            monkeypatch.setattr(trainer, "CHUNK_EPOCHS", chunk)
+            for T, want in whole.items():
+                got = run(T)
+                for name in ("epochs", "mse_linear", "mse_db", "train_acc", "test_acc"):
+                    if getattr(want, name) is None:
+                        assert getattr(got, name) is None
+                    else:
+                        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                np.testing.assert_array_equal(head_params(got.final_model),
+                                              head_params(want.final_model))
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_group_power_is_made_once_when_first_due(self, mode, n_heads, monkeypatch):
+        # M^GROUP_EPOCHS is made when a second group of increments is first
+        # due: never in a fit of GROUP_EPOCHS epochs, once in one of
+        # GROUP_EPOCHS + 1, and once in a fit whose operator restarts after
+        # drawing a second group (the shrinking false alarm of
+        # test_operator_bound_false_alarm_restarts_in_mid_group)
+        G = GROUP_EPOCHS
+        model, X, D, eta = fit_problem(mode, n_heads, 40, seed=76)
+        for h in (model.heads if n_heads > 1 else [model]):
+            h.bias = 1000.0
+        powers, starts = [], []
+        matrix_power, increments = np.linalg.matrix_power, trainer._increments
+
+        def count_power(M, k):
+            powers.append(k)
+            return matrix_power(M, k)
+
+        def count_start(*args):
+            starts.append(args)
+            return increments(*args)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", count_power)
+        monkeypatch.setattr(trainer, "_increments", count_start)
+        for epochs, want in ((G, []), (G + 1, [G])):
+            powers.clear()
+            fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, init="keep"))
+            assert powers == want
+        cfg = TrainConfig(eta=eta, epochs=3 * 24 + 5, init="keep")
+        errors = []
+
+        def record(*args, **kwargs):
+            e = sgd_step(*args, **kwargs)
+            errors.append(abs(e))
+            return e
+
+        monkeypatch.setattr(helpers, "sgd_step", record)
+        replay_fit(model.copy(), X, D, cfg)
+        monkeypatch.setattr(trainer, "DIVERGENCE_LIMIT", 1.25 * max(errors))
+        monkeypatch.setattr(trainer, "CHUNK_EPOCHS", 24)
+        powers.clear()
+        starts.clear()
+        fit(model.copy(), X, D, cfg)
+        assert len(starts) == 2
+        assert powers == [G]
+
+    @pytest.mark.parametrize("S", [BLOCK_SIZE - 7, 2 * BLOCK_SIZE + 44])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    def test_operator_build_without_rows_is_the_build_from_zero_rows(self, n_heads, S):
+        # fit builds [F | J] from W None, which skips the first block's
+        # product with zero rows and the last block's update that nothing
+        # reads; the result is the build from zero rows, bit for bit
+        model, X, D, eta = fit_problem("co", n_heads, S, frac=1.9, seed=77)
+        bank = model.heads[0].bank if n_heads > 1 else model.bank
+        DS = np.ascontiguousarray(kernel_matrix(X, bank).T)
+        want = np.concatenate((np.atleast_2d(D).T, DS), axis=1)
+        got = want.copy()
+        trainer._linear_blocks(np.zeros((want.shape[1], DS.shape[1])), DS, want, range(S),
+                               eta, BLOCK_SIZE, None, out=want)
+        trainer._linear_blocks(None, DS, got, range(S), eta, BLOCK_SIZE, None, out=got)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("frac", [0.5, 1.9])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["fixed", "co"])
