@@ -504,11 +504,11 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     Alphas[:] = alphas
     # theta . phi of epoch e (0-based) is row block e % GROUP_EPOCHS of one
     # (GROUP_EPOCHS H, P) @ (P, S) product per group of epochs, with zero
-    # rows where a chunk ends inside a group. A GEMM row's bits depend on the
-    # product's shape and the row's place in it, not on the other rows, so
-    # they do not depend on the chunking. The operator's group length serves:
-    # 16 rows already run two to five times as fast as 16 one-epoch products
-    # (P from 11 to 243, one OpenBLAS thread).
+    # rows where a chunk starts or ends inside a group. A GEMM row's bits
+    # depend on the product's shape and the row's place in it, not on the
+    # other rows, so they do not depend on the chunking. The operator's group
+    # length serves: 16 rows already run two to five times as fast as 16
+    # one-epoch products (P from 11 to 243, one OpenBLAS thread).
     # Theta and the outputs hold a chunk's groups; a chunk starts inside a
     # group only when C is not a multiple of G.
     G = GROUP_EPOCHS
