@@ -140,17 +140,27 @@ def _set_params(heads: list[RbfModel], rows: np.ndarray, alphas: np.ndarray) -> 
             h.mode.alpha_gaussian, h.mode.alpha_cosine = alpha.tolist()
 
 
-def _thetas(rows: np.ndarray, alphas: np.ndarray, bank: KernelBank) -> np.ndarray:
+def _thetas(rows: np.ndarray, alphas: np.ndarray, bank: KernelBank,
+            out: np.ndarray | None = None) -> np.ndarray:
     """theta = [b, vec(W)] in kernel_vector's layout, output = theta . phi, for
     rows and alphas of _params' layout with any leading axes. W is the (K, L)
     matrix of per-center, per-kernel weights: the rows hold it under CoFusion,
     and fixed and adaptive fusion are its rank-one case W = w alpha^T, whose
-    column l is alpha_l * w."""
+    column l is alpha_l * w. out, when given, receives theta (and is
+    returned); otherwise co rows are returned as they are."""
     if alphas.shape[-1] == 0:
-        return rows
+        if out is None:
+            return rows
+        out[...] = rows
+        return out
     mix = [("gaussian", "cosine").index(name) for name in bank.kernel_order]
-    W = (alphas[..., mix, None] * rows[..., None, 1:]).reshape(*rows.shape[:-1], -1)
-    return np.concatenate((rows[..., :1], W), axis=-1)
+    if out is None:
+        out = np.empty((*rows.shape[:-1], 1 + len(mix) * (rows.shape[-1] - 1)))
+    out[..., 0] = rows[..., 0]
+    # out[..., 1:] split into (L, K) is a view of out
+    np.multiply(alphas[..., mix, None], rows[..., None, 1:],
+                out=out[..., 1:].reshape(*rows.shape[:-1], len(mix), -1))
+    return out
 
 
 def _outputs(heads: list[RbfModel], Phi: np.ndarray) -> np.ndarray:

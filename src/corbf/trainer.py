@@ -16,11 +16,15 @@ stable steps an epoch's errors are affine in its starting rows W,
 E = F - J W^T: the routine run once from zero rows on the targets [D | DS]
 (DS the design) gives [F | J]. The epoch's increments U = (eta E) DS then
 make the next epoch's as U M, M = I - eta J^T DS (P x P, built once per
-fit), and W += U. U comes from the errors only when this operator
-(re)starts; _increments then makes the first GROUP_EPOCHS increments by
-single products and each later group of them as the one before it times
-M^GROUP_EPOCHS (squared once per fit, when a first later group is due), one
-product. Adaptive fusion
+fit), and W += U. Its errors make the next epoch's as E N,
+N = I - eta DS J^T (S x S): fit iterates whichever of U (H x P) and E
+(H x S) costs an epoch fewer multiply-adds, P^2 + P_theta S against 2 S^2
+(P_theta = len(phi), since fixed fusion evaluates through theta), so the
+errors when a design has fewer samples than weights. The state comes from
+the errors only when this operator (re)starts; _increments then makes its
+first GROUP_EPOCHS values by single products and each later group of them
+as the one before it times M^GROUP_EPOCHS (or N^GROUP_EPOCHS; squared once
+per fit, when a first later group is due), one product. Adaptive fusion
 multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
 sample's Gaussian and cosine projections: the block's Gram matrix Z Z^T
@@ -50,13 +54,19 @@ epoch's outputs are bit for bit the same whatever the chunking. Under the
 operator a chunk draws its increments, its rows are their
 cumulative sum (adding as W += U does, epoch by epoch), and its epochs are
 checked once, by a bound on their errors that needs only the rows' norms,
-|E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]|| (Cauchy-Schwarz); the first
-epoch failing it and the rest of the chunk then train by blocks, which raise
-at the first failing sample (so a false alarm costs only time), as every
-epoch does otherwise, and the next chunk restarts the operator; otherwise it
-draws on from the same groups, so chunk ends leave no trace in the bits.
-fit writes the heads once, after the last epoch or, on divergence, from the
-last completed one.
+|E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]|| (Cauchy-Schwarz). Iterating
+the errors, a chunk draws them and checks each exactly; their running sums C
+(one cumulative sum, as the rows') give the rows W_base + (eta C) DS and the
+outputs Y_base + (eta C) K, K = theta(DS) . phi built once per fit, from the
+rows W_base and outputs Y_base where the operator started. Those outputs
+come by the same groups of products, and rows are formed only where they
+are read: at the fit's end and from a failed check on. The first epoch
+failing the check and the rest of the chunk then train by blocks, which
+raise at the first failing sample (so a false alarm costs only time), as
+every epoch does otherwise, and the next chunk restarts the operator;
+otherwise it draws on from the same groups, so chunk ends leave no trace in
+the bits. fit writes the heads once, after the last epoch or, on
+divergence, from the last completed one.
 
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
 autocorrelation matrix.
@@ -269,10 +279,11 @@ def _linear_blocks(W: np.ndarray | None, DS: np.ndarray, Drows: np.ndarray, orde
 
 def _increments(U: np.ndarray, M: np.ndarray,
                 M_group: Callable[[], np.ndarray]) -> Generator[None, np.ndarray, None]:
-    """Primed by next(), writes the next len(out) of the increments U, U M,
-    U M^2, ... into each buffer out sent to it. Each group of GROUP_EPOCHS
-    after the first is the one before it times M_group() = M^GROUP_EPOCHS,
-    made when its first increment is due, whatever the buffers' lengths."""
+    """Primed by next(), writes the next len(out) of U, U M, U M^2, ... (the
+    increments, or the errors when M is N) into each buffer out sent to it.
+    Each group of GROUP_EPOCHS after the first is the one before it times
+    M_group() = M^GROUP_EPOCHS, made when its first value is due, whatever
+    the buffers' lengths."""
     G = np.empty((GROUP_EPOCHS, *U.shape))
     G[0] = U
     for j in range(1, GROUP_EPOCHS):
@@ -503,21 +514,26 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     Alphas = np.empty((C + 1, *alphas.shape))
     Alphas[:] = alphas
     # theta . phi of epoch e (0-based) is row block e % GROUP_EPOCHS of one
-    # (GROUP_EPOCHS H, P) @ (P, S) product per group of epochs, with zero
+    # (GROUP_EPOCHS H, P) @ (P, S) product per group of epochs (or, iterating
+    # the errors, (eta C) K of a (GROUP_EPOCHS H, S) @ (S, S) one), with zero
     # rows where a chunk starts or ends inside a group. A GEMM row's bits
     # depend on the product's shape and the row's place in it, not on the
     # other rows, so they do not depend on the chunking. The operator's group
     # length serves: 16 rows already run two to five times as fast as 16
     # one-epoch products (P from 11 to 243, one OpenBLAS thread).
-    # Theta and the outputs hold a chunk's groups; a chunk starts inside a
-    # group only when C is not a multiple of G.
+    # Theta (and Coef, for eta C) and the outputs hold a chunk's groups; a
+    # chunk starts inside a group only when C is not a multiple of G.
     G = GROUP_EPOCHS
     span = C if C % G == 0 else C + G - 1
-    Theta = np.zeros((-(-span // G) * G, H, len(Phi)))
-    Out = np.empty((len(Theta), H, S))
+    span = -(-span // G) * G
+    Theta = np.zeros((span, H, len(Phi)))
+    Out = np.empty((span, H, S))
+    # the design of each evaluated set and its outputs
+    sets = [(Phi, Out)]
     if eval_phi is not None:
-        Out_eval = np.empty((len(Theta), H, eval_phi.shape[1]))
-    operator = False
+        Out_eval = np.empty((span, H, eval_phi.shape[1]))
+        sets.append((eval_phi, Out_eval))
+    operator = errors = False
     if adaptive:
         P2 = np.stack((Pg.T, Pc.T), axis=1)
         q = np.empty(4)
@@ -530,20 +546,31 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
         if operator:
             # a stable epoch in dataset order makes the errors F - J W^T and
             # maps its increments U to the next epoch's by U M. [F | J] is
-            # built unchecked: a bad entry instead fails every chunk's bound.
+            # built unchecked: a bad entry instead fails every chunk's check.
             # F and J work transposed, heads as rows.
             FJ = np.concatenate((Drows, DS), axis=1)
             _linear_blocks(None, DS, FJ, range(S), eta, width, None, out=FJ)
             FT, JT = (np.ascontiguousarray(B.T) for B in np.split(FJ, [H], axis=1))
-            # M = I - eta J^T DS, built in place, and M^GROUP_EPOCHS by
-            # squarings, on first use and once per fit
-            M = JT @ DS
+            # an epoch's multiply-adds per head, U M and theta . phi against
+            # E N and (eta C) K, choose between the increments and the errors.
+            # M = I - eta J^T DS (or N = I - eta DS J^T) is built in place,
+            # and its GROUP_EPOCHS-th power by squarings, on first use and
+            # once per fit.
+            errors = 2 * S * S < DS.shape[1] ** 2 + len(Phi) * S
+            M = DS @ JT if errors else JT @ DS
             M *= -eta
             M.flat[::M.shape[0] + 1] += 1.0
             M_group = functools.cache(lambda: np.linalg.matrix_power(M, GROUP_EPOCHS))
-            # by Cauchy-Schwarz |E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]||
-            fmax = np.abs(FT).max(axis=1)
-            jmax = np.linalg.norm(JT, axis=0).max()
+            if errors:
+                # Sums[i] is C before epoch i of a chunk, as Rows[i] is W
+                Sums = np.empty((C + 1, H, S))
+                Coef = np.zeros((span, H, S))
+                theta_DS = _thetas(DS, alphas[0], bank)
+                Ks = [theta_DS @ basis for basis, _ in sets]
+            else:
+                # by Cauchy-Schwarz |E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]||
+                fmax = np.abs(FT).max(axis=1)
+                jmax = np.linalg.norm(JT, axis=0).max()
             restart = True
 
     mse_lin = np.empty(cfg.epochs)
@@ -552,27 +579,48 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     try:
         for t0 in range(0, cfg.epochs, C):
             # the chunk trains epochs t0 + 1 .. t0 + n; operator epochs
-            # 0 .. k - 1 pass their bound, epochs k .. n - 1 train one by one
+            # 0 .. k - 1 pass their check, epochs k .. n - 1 train one by one
             n, k = min(C, cfg.epochs - t0), 0
             if operator:
                 # epochs after a failing one may overflow, and they train
                 # again below
                 with np.errstate(over="ignore", invalid="ignore"):
                     if restart:
-                        # the first increment (eta E) DS from the errors
-                        # E = F - W J^T
-                        increments = _increments(np.matmul(eta * (FT - Rows[0] @ JT), DS),
+                        # the errors E = F - W J^T, or the first increment
+                        # (eta E) DS
+                        E = FT - Rows[0] @ JT
+                        if errors:
+                            # the operator's rows are W_base + (eta C) DS,
+                            # its outputs Y_base + (eta C) K
+                            W_base = Rows[0].copy()
+                            theta = _thetas(W_base, Alphas[0], bank)
+                            Y_base = [theta @ basis for basis, _ in sets]
+                            Sums[0] = 0.0
+                        increments = _increments(E if errors else np.matmul(eta * E, DS),
                                                  M, M_group)
                         next(increments)
-                    increments.send(Rows[1:n + 1])
-                    # Rows[i + 1] = Rows[i] + U_i, epoch after epoch
-                    np.cumsum(Rows[:n + 1], axis=0, out=Rows[:n + 1])
-                    bound = fmax + jmax * np.linalg.norm(Rows[:n], axis=2)
-                ok = (bound <= DIVERGENCE_LIMIT).all(axis=1)
+                    if errors:
+                        increments.send(Sums[1:n + 1])
+                        ok = np.abs(Sums[1:n + 1]).max(axis=(1, 2)) <= DIVERGENCE_LIMIT
+                        # Sums[i + 1] = Sums[i] + E_i, epoch after epoch
+                        np.cumsum(Sums[:n + 1], axis=0, out=Sums[:n + 1])
+                    else:
+                        increments.send(Rows[1:n + 1])
+                        # Rows[i + 1] = Rows[i] + U_i, epoch after epoch
+                        np.cumsum(Rows[:n + 1], axis=0, out=Rows[:n + 1])
+                        bound = fmax + jmax * np.linalg.norm(Rows[:n], axis=2)
+                        ok = (bound <= DIVERGENCE_LIMIT).all(axis=1)
                 k = n if ok.all() else int(np.argmin(ok))
-                # after blocks the next chunk takes U from its errors, as a
-                # fit starting from its rows would
+                # after blocks the next chunk takes U (or E) from its errors,
+                # as a fit starting from its rows would
                 restart = k < n
+                if errors and (restart or t0 + n == cfg.epochs):
+                    # rows are formed where they are read: from the first
+                    # failing epoch on, the chunk trains by blocks and is
+                    # evaluated from rows, and the fit ends on its last ones.
+                    # eta C first: a one-sample epoch is sgd_step's.
+                    for i in range(k + 1) if restart else (n,):
+                        Rows[i] = W_base + (eta * Sums[i]) @ DS
             for i in range(k, n):
                 W, alphas = Rows[i + 1], Alphas[i + 1]
                 W[...], alphas[...] = Rows[i], Alphas[i]
@@ -636,15 +684,25 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             lo = t0 % G
             hi = lo + n
             end = -(-hi // G) * G
-            Theta[:lo], Theta[hi:end] = 0.0, 0.0
-            Theta[lo:hi] = _thetas(Rows[1:n + 1], Alphas[1:n + 1], bank)
-            groups = Theta[:end].reshape(-1, G * H, len(Phi))
-            np.matmul(groups, Phi, out=Out[:end].reshape(len(groups), G * H, -1))
+            # outputs are theta . phi of the rows or, where every epoch of
+            # the chunk ran on the error operator, Y_base + (eta C) K
+            summed = errors and not restart
+            B = Coef if summed else Theta
+            B[:lo], B[hi:end] = 0.0, 0.0
+            if summed:
+                np.multiply(eta, Sums[1:n + 1], out=B[lo:hi])
+            else:
+                _thetas(Rows[1:n + 1], Alphas[1:n + 1], bank, out=B[lo:hi])
+            groups = B[:end].reshape(-1, G * H, B.shape[2])
+            for j, (basis, Y_set) in enumerate(sets):
+                np.matmul(groups, Ks[j] if summed else basis,
+                          out=Y_set[:end].reshape(len(groups), G * H, -1))
+                if summed:
+                    Y_set[lo:hi] += Y_base[j]
             Y = Out[lo:hi]
             if classification:
                 train_acc[done] = np.mean(np.argmax(Y, axis=1) == truth, axis=1)
             if eval_phi is not None:
-                np.matmul(groups, eval_phi, out=Out_eval[:end].reshape(len(groups), G * H, -1))
                 preds = np.argmax(Out_eval[lo:hi], axis=1)
                 test_acc[done] = np.mean(preds == eval_labels, axis=1)
             err = np.subtract(Dmat, Y, out=Y)
@@ -652,6 +710,8 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             mse_lin[done] = np.add.reduce(np.multiply(err, err, out=err),
                                           axis=(1, 2)) / err[0].size
             Rows[0], Alphas[0] = Rows[n], Alphas[n]
+            if errors:
+                Sums[0] = Sums[n]
     except DivergenceError as exc:
         # the failing epoch started from the last completed one's rows
         if exc.epoch > 1:

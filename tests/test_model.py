@@ -401,6 +401,11 @@ class TestParams:
             for c in range(3):
                 np.testing.assert_array_equal(
                     stacked[i, c], _thetas(rows[i, c], alphas[i, c], heads[0].bank))
+        # written into part of a buffer, as fit writes a chunk's thetas
+        buf = np.zeros((n + 2, *stacked.shape[1:]))
+        _thetas(rows, alphas, heads[0].bank, out=buf[1:-1])
+        np.testing.assert_array_equal(buf[1:-1], stacked)
+        assert not buf[0].any() and not buf[-1].any()
 
 
 class TestSerialization:

@@ -361,6 +361,11 @@ class TestFit:
 FIT_MODES = {"fixed": lambda: FixedFusion(0.3, 0.7), "co": CoFusion,
              "adaptive": lambda: AdaptiveFusion(0.3, 0.7)}
 
+# (centers, samples) of a design whose stable dataset-order fixed and co fits
+# iterate their increments, and of one with fewer samples than weights (co
+# 33, fixed 17), whose fits iterate their errors
+DESIGNS = [(3, 24), (16, 12)]
+
 
 def fit_problem(mode, n_heads, S, a=2, K=3, frac=0.5, seed=0,
                 kernel_order=("gaussian", "cosine")):
@@ -749,19 +754,20 @@ class TestBlockEngine:
         np.testing.assert_array_equal(trace.mse_linear, np.zeros(cfg.epochs))
         assert_fit_matches_replay(start, X, D, cfg)
 
+    @pytest.mark.parametrize("K,S", DESIGNS)
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
-    def test_chunking_leaves_no_trace_in_the_bits(self, mode, n_heads, shuffle,
+    def test_chunking_leaves_no_trace_in_the_bits(self, mode, n_heads, shuffle, K, S,
                                                   monkeypatch):
         # fit evaluates its epochs, and checks its error-operator epochs, a
         # chunk of CHUNK_EPOCHS at a time. A fit ending before, at or after a
         # chunk's end holds the first epochs of a longer fit bit for bit, and
         # ends with the rows of the same fit run one epoch per chunk.
         C = CHUNK_EPOCHS
-        model, X, D, eta = fit_problem(mode, n_heads, 24, seed=62)
+        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, seed=62)
         rng = np.random.default_rng(63)
-        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, 24)) if n_heads == 3 else None
+        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, S)) if n_heads == 3 else None
 
         def run(epochs):
             return fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, seed=5,
@@ -786,14 +792,91 @@ class TestBlockEngine:
             np.testing.assert_array_equal(head_params(trace.final_model),
                                           head_params(single.final_model))
 
+    @pytest.mark.parametrize("K,S", [(3, 40), DESIGNS[1]])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["fixed", "co"])
-    def test_increments_carried_across_chunks_match_sequential_steps(self, mode, n_heads):
+    def test_increments_carried_across_chunks_match_sequential_steps(self, mode, n_heads,
+                                                                     K, S):
         # in dataset order each epoch's increments are the last one's times
-        # M = I - eta J^T DS, carried from chunk to chunk
-        model, X, D, eta = fit_problem(mode, n_heads, 40, frac=1.9, seed=75)
+        # M = I - eta J^T DS (or its errors the last one's times
+        # N = I - eta DS J^T), carried from chunk to chunk
+        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=1.9, seed=75)
         assert_fit_matches_replay(model, X, D, TrainConfig(
             eta=eta, epochs=2 * CHUNK_EPOCHS + 5, seed=9, init="keep"))
+
+    @pytest.mark.parametrize("task", ["sysid", "funapprox"])
+    @pytest.mark.parametrize("arch", ["manual", "co"])
+    def test_operator_space_follows_the_design_shape(self, task, arch, monkeypatch):
+        # sysid's 400 samples over 6 or 11 weights iterate the increments
+        # (one per weight); funapprox's 121 samples over 122 or 243 weights
+        # iterate the errors (one per sample)
+        cfg = bench.ExperimentConfig(task)
+        X, D, bank, _ = bench._problem(cfg, 0)
+        model = bench._single_head(bank, arch)
+        made = []
+        increments = trainer._increments
+
+        def spy(*args):
+            made.append(args[0].shape)
+            return increments(*args)
+
+        monkeypatch.setattr(trainer, "_increments", spy)
+        fit(model, X, D, dataclasses.replace(bench._train_config(cfg, 0), epochs=1))
+        P = 1 + model.weights.size
+        assert (X.shape[1] > P) == (task == "sysid")
+        assert made == [(1, P if task == "sysid" else X.shape[1])]
+
+    @pytest.mark.parametrize("mode,n_heads,seed,epoch", [
+        ("co", 1, 86, 48), ("co", 3, 98, 154), ("fixed", 1, 72, 2), ("fixed", 3, 72, 2)])
+    def test_error_operator_check_is_exact(self, mode, n_heads, seed, epoch, monkeypatch):
+        # With fewer samples than weights the operator iterates the errors
+        # and checks each of them. A limit at 0.8 of the largest sequential
+        # error of a stable fit fails first in a later epoch (for co with 3
+        # heads in the second chunk): only that epoch trains by blocks, and
+        # fit raises the steps' epoch, sample and value and leaves the rows of
+        # a fit one epoch shorter, bit for bit, also where that epoch starts
+        # a chunk.
+        K, S = DESIGNS[1]
+        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=1.9, seed=seed)
+        cfg = TrainConfig(eta=eta, epochs=2 * CHUNK_EPOCHS + 5, init="keep")
+        errors = []
+
+        def record(*args, **kwargs):
+            e = sgd_step(*args, **kwargs)
+            errors.append(abs(e))
+            return e
+
+        monkeypatch.setattr(helpers, "sgd_step", record)
+        replay_fit(model.copy(), X, D, cfg)
+        for where in (trainer, helpers):
+            monkeypatch.setattr(where, "DIVERGENCE_LIMIT", 0.8 * max(errors))
+        with pytest.raises(DivergenceError) as want:
+            replay_fit(model.copy(), X, D, cfg)
+        assert want.value.epoch == epoch
+        done = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=epoch - 1))
+        epochs_by_blocks = []
+        linear_blocks = trainer._linear_blocks
+
+        def spy(*args, **kwargs):
+            epochs_by_blocks.append(args[6])
+            linear_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_linear_blocks", spy)
+        for chunk in (CHUNK_EPOCHS, epoch - 1):
+            monkeypatch.setattr(trainer, "CHUNK_EPOCHS", chunk)
+            epochs_by_blocks.clear()
+            got_model = model.copy()
+            with pytest.raises(DivergenceError) as got:
+                fit(got_model, X, D, cfg)
+            # the unchecked build of [F | J], then the failing epoch's block
+            # and its replay one sample at a time
+            assert epochs_by_blocks == [None, epoch, epoch]
+            assert ((got.value.epoch, got.value.sample)
+                    == (want.value.epoch, want.value.sample))
+            np.testing.assert_allclose(got.value.error_value, want.value.error_value,
+                                       rtol=1e-12)
+            np.testing.assert_array_equal(head_params(got_model),
+                                          head_params(done.final_model))
 
     @pytest.mark.parametrize("start", ["growing", "shrinking"])
     @pytest.mark.parametrize("n_heads", [1, 3])
@@ -956,21 +1039,22 @@ class TestBlockEngine:
         np.testing.assert_array_equal(head_params(trace.final_model),
                                       head_params(rest.final_model))
 
+    @pytest.mark.parametrize("K,S", DESIGNS)
     @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
     def test_chunks_inside_evaluation_groups_leave_no_trace(self, mode, n_heads, shuffle,
-                                                            monkeypatch):
+                                                            K, S, monkeypatch):
         # fit evaluates GROUP_EPOCHS epochs by one product, the groups counted
         # from the fit's first epoch: chunks of 5, 16, 17 and 24 epochs, which
         # start and end inside groups, leave every column and row of fits
         # ending one epoch before, at and after a group's end, and one epoch
         # after the first default chunk, bit for bit as the default chunks do
         G = GROUP_EPOCHS
-        model, X, D, eta = fit_problem(mode, n_heads, 24, frac=0.5 if mode == "adaptive"
+        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=0.5 if mode == "adaptive"
                                        else 1.9, seed=62)
         rng = np.random.default_rng(63)
-        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, 24)) if n_heads == 3 else None
+        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, S)) if n_heads == 3 else None
 
         def run(epochs):
             return fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, seed=5,
