@@ -723,15 +723,17 @@ class TestBlockEngine:
         assert (exc.value.epoch, exc.value.sample) == (1, 201)
         np.testing.assert_array_equal(head_params(model), head_params(start))
 
+    @pytest.mark.parametrize("K,S", [(3, 40), DESIGNS[1]])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["co", "fixed"])
-    def test_operator_check_failing_without_divergence_trains_on(self, mode, n_heads,
+    def test_operator_check_failing_without_divergence_trains_on(self, mode, n_heads, K, S,
                                                                  monkeypatch):
         # At bias and targets 1e300 every sequential error is exactly 0, yet
         # F - W J^T cancels at 1e300 and fails the operator's check in every
-        # epoch. Each epoch then trains by blocks, which do not raise, and the
-        # second chunk goes back to the operator first.
-        model, X, D, eta = fit_problem(mode, n_heads, 40, frac=1.5, seed=64)
+        # epoch (the bound over the increments, the exact check over the
+        # errors). Each epoch then trains by blocks, which do not raise, and
+        # the second chunk goes back to the operator first.
+        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=1.5, seed=64)
         for h in (model.heads if n_heads > 1 else [model]):
             h.bias = 1e300
         D[...] = 1e300
