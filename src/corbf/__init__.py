@@ -2,6 +2,8 @@
 fusion, trained by per-sample gradient descent, plus benchmark tasks and
 metrics."""
 
+from types import ModuleType as _ModuleType
+
 from .centers import (
     SubtractiveConfig,
     fixed_centers,
@@ -96,78 +98,9 @@ from .bench import (  # noqa: E402
     run_experiment,
 )
 
-__all__ = [
-    "ARCHITECTURES",
-    "ExperimentConfig",
-    "TASKS",
-    "bound_probe",
-    "compare_report",
-    "config_from_manifest",
-    "reference",
-    "run_experiment",
-    "AdaptiveFusion",
-    "CoFusion",
-    "ConfusionCounts",
-    "CorbfError",
-    "CosineParams",
-    "DataFormatError",
-    "DEFAULT_FUNAPPROX_TARGET",
-    "DimensionMismatchError",
-    "DIVERGENCE_LIMIT",
-    "DivergenceError",
-    "EmptyInputError",
-    "ErrorSurface",
-    "FixedFusion",
-    "FusionMode",
-    "GaussianParams",
-    "InvalidConfigError",
-    "InvalidModelError",
-    "KERNEL_NAMES",
-    "KernelBank",
-    "LabeledDataset",
-    "MissingArtifactsError",
-    "MultiHeadRbfModel",
-    "PartitionError",
-    "RbfModel",
-    "Scenario4Center",
-    "SubtractiveConfig",
-    "SysIdSignal",
-    "TrainConfig",
-    "TrainTrace",
-    "accuracy",
-    "center_contributions",
-    "confusion",
-    "cosine_kernel",
-    "discriminative_power",
-    "error_surface",
-    "fit",
-    "fixed_centers",
-    "format_percent",
-    "format_youden",
-    "forward",
-    "forward_batch",
-    "funapprox_target",
-    "gaussian_kernel",
-    "gen_function_approx",
-    "gen_sysid",
-    "grid_axes",
-    "grid_centers",
-    "kernel_matrix",
-    "kernel_vector",
-    "learning_rate_bound",
-    "load_iris",
-    "load_model",
-    "mse_db",
-    "mse_db_from_linear",
-    "multiclass_decision",
-    "plant_response",
-    "read_trace_csv",
-    "save_model",
-    "sensitivity_specificity_youden",
-    "sgd_step",
-    "square_wave",
-    "subtractive_clustering",
-    "write_metric_table",
-    "write_trace_csv",
-    "__version__",
-]
+# The names imported above are the public API, written once: __all__ is every
+# one of them but the submodules that importing binds, plus reference and the
+# version.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__ += ["reference", "__version__"]

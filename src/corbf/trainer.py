@@ -417,8 +417,12 @@ def _targets_matrix(model, D) -> tuple[np.ndarray, np.ndarray | None]:
         labels = _check_labels("labels", D, model.n_classes)
         return (np.arange(model.n_classes)[:, None] == labels).astype(np.float64), labels
     D = np.asarray(D, dtype=np.float64)
+    if not np.isfinite(D).all():
+        raise InvalidConfigError("targets contain non-finite values")
     if isinstance(model, MultiHeadRbfModel):
         C = model.n_classes
+        if D.ndim != 2:
+            raise DimensionMismatchError("target matrix", 2, D.ndim)
         if D.shape[0] != C:
             raise DimensionMismatchError("target rows vs heads", C, D.shape[0])
         return D, None
@@ -454,7 +458,8 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     of epochs 1..t reports it when the replay fails in epoch t too.
     Fixed and adaptive fusion need a Gaussian and a cosine kernel
     (InvalidModelError); co does not. Heads of different fusion modes are
-    refused (InvalidModelError).
+    refused (InvalidModelError), non-finite samples or targets
+    (InvalidConfigError) and an empty training or eval set (EmptyInputError).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -483,6 +488,8 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     if eval_set is not None and classification:
         X_eval, d_eval = eval_set
         eval_phi = kernel_matrix(np.asarray(X_eval, dtype=np.float64), bank)
+        if eval_phi.shape[1] == 0:
+            raise EmptyInputError("fit needs at least one eval sample")
         eval_labels = _check_labels("labels", d_eval, model.n_classes)
         if len(eval_labels) != eval_phi.shape[1]:
             raise DimensionMismatchError("eval labels vs samples", eval_phi.shape[1],

@@ -313,14 +313,19 @@ class TestFit:
                 TrainConfig(eta=0.01, epochs=1, init="keep"))
         np.testing.assert_array_equal(head_params(model), head_params(start))
 
+    @pytest.mark.parametrize("where", ["sample", "target"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_rejects_non_finite_samples(self, value):
-        # unchecked, an inf sample made fit report DivergenceError(1, 1, nan)
+    def test_rejects_non_finite_samples(self, value, where):
+        # unchecked, an inf sample made fit report DivergenceError(1, 1, nan),
+        # and a non-finite target DivergenceError(1, 4, value)
         model, X, D, eta = fit_problem("adaptive", 1, 6, seed=71)
-        X[0, 3] = value
         start = model.copy()
-        with pytest.raises(InvalidConfigError, match="non-finite"):
-            forward(model, X[:, 3])
+        if where == "sample":
+            X[0, 3] = value
+            with pytest.raises(InvalidConfigError, match="non-finite"):
+                forward(model, X[:, 3])
+        else:
+            D[3] = value
         with pytest.raises(InvalidConfigError, match="non-finite"):
             fit(model, X, D, TrainConfig(eta=eta, epochs=1))
         np.testing.assert_array_equal(head_params(model), head_params(start))
@@ -329,8 +334,14 @@ class TestFit:
         rng = np.random.default_rng(54)
         bank = small_bank(rng)
         model = make_model(rng, bank, CoFusion())
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError):
             fit(model, rng.normal(size=(2, 4)), rng.normal(size=5),
+                TrainConfig(eta=0.1, epochs=1))
+        # a (C, S, 1) target array for C heads: unchecked, the [F | J]
+        # concatenate raised a raw ValueError
+        heads = MultiHeadRbfModel([make_model(rng, bank, CoFusion()) for _ in range(3)])
+        with pytest.raises(DimensionMismatchError):
+            fit(heads, rng.normal(size=(2, 4)), rng.normal(size=(3, 4, 1)),
                 TrainConfig(eta=0.1, epochs=1))
 
 
@@ -356,6 +367,13 @@ class TestFit:
         labels = np.arange(12) % 3
         with pytest.raises(DimensionMismatchError):
             fit(model, X, labels, TrainConfig(eta=eta, epochs=1), (X, labels[:-1]))
+
+    def test_rejects_an_empty_eval_set(self):
+        # unchecked, it wrote an all-NaN test_acc and warned "Mean of empty slice"
+        model, X, _, eta = fit_problem("co", 3, 12, seed=70)
+        labels = np.arange(12) % 3
+        with pytest.raises(EmptyInputError):
+            fit(model, X, labels, TrainConfig(eta=eta, epochs=1), (X[:, :0], labels[:0]))
 
 
 FIT_MODES = {"fixed": lambda: FixedFusion(0.3, 0.7), "co": CoFusion,
@@ -495,7 +513,7 @@ class TestBlockEngine:
         pytest.param(mode, frac, bad, id=f"{prefix}{frac}-{bad}")
         for mode, prefix, expanding in (("co", "", 5.0), ("fixed", "fixed-", 6.0),
                                         ("adaptive", "adaptive-", 5.0))
-        for frac, bad in ((expanding, None), (1e14, None), (1.5, np.nan), (1.5, 1e13))])
+        for frac, bad in ((expanding, None), (1e14, None), (1.5, -1.7e308), (1.5, 1e13))])
     def test_divergence_names_first_failing_step(self, mode, frac, bad_target,
                                                  shuffle, n_heads):
         # At frac 5 every co step expands the errors, and the first to fail
@@ -505,9 +523,10 @@ class TestBlockEngine:
         # failure comes in epoch 2. At 1e14 they overflow within the first block. A
         # bad target at training-set index 200 under stable steps trips the
         # check of the epoch's error operator in dataset order and of the
-        # block solve under shuffle, where a pivoted solve may spread a NaN to
-        # the errors before it. The adaptive loop has no blocks; its
-        # coefficients make frac 5 fail within the first ten samples.
+        # block solve under shuffle, where a pivoted solve may spread it to
+        # the errors before it; -1.7e308 overflows the errors after it. The
+        # adaptive loop has no blocks; its coefficients make frac 5 fail
+        # within the first ten samples.
         S = 2 * BLOCK_SIZE + 44
         model, X, D, eta = fit_problem(mode, n_heads, S, frac=frac, seed=61)
         if bad_target is not None:
@@ -535,7 +554,7 @@ class TestBlockEngine:
         S = 2 * BLOCK_SIZE + 44
         model, X, D, eta = fit_problem(mode, 3, S, seed=62)
         D[2, 50] = 1e13
-        D[0, 200] = np.nan
+        D[0, 200] = -1.7e308
         cfg = TrainConfig(eta=eta, epochs=2, seed=3, init="keep")
         with pytest.raises(DivergenceError) as want:
             replay_fit(model.copy(), X, D, cfg)
@@ -702,16 +721,16 @@ class TestBlockEngine:
                                             shuffle=shuffle, init="keep"))
         np.testing.assert_array_equal(head_params(model), head_params(done.final_model))
 
-    @pytest.mark.parametrize("target", [np.nan, 1e13, -1.7e308])
+    @pytest.mark.parametrize("target", [1.7e308, 1e13, -1.7e308])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["co", "fixed"])
     def test_stable_failure_in_epoch_1_leaves_the_model_as_it_was(self, mode, n_heads,
                                                                   target):
         # Stable steps in dataset order train by the epoch's error operator;
-        # a NaN or too large target at training-set index 200 fails its check
-        # in epoch 1, and the model must keep its starting parameters bit for
+        # a too large target at training-set index 200 fails its check in
+        # epoch 1, and the model must keep its starting parameters bit for
         # bit. The check runs after the chunk's last epoch, and the epochs
-        # after the failing one (which overflow for -1.7e308) warn of nothing.
+        # after the failing one (which overflow for +-1.7e308) warn of nothing.
         model, X, D, eta = fit_problem(mode, n_heads, 2 * BLOCK_SIZE + 44, frac=1.5,
                                        seed=61)
         D[..., 200] = target
