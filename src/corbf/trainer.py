@@ -21,9 +21,9 @@ N = I - eta DS J^T (S x S): fit iterates whichever of U (H x P) and E
 (H x S) costs an epoch fewer multiply-adds, P^2 + P_theta S against 2 S^2
 (P_theta = len(phi), since fixed fusion evaluates through theta), so the
 errors when a design has fewer samples than weights. The state comes from
-the errors only when this operator (re)starts; _increments then makes its
-first GROUP_EPOCHS values by single products and each later group of them
-as the one before it times M^GROUP_EPOCHS (or N^GROUP_EPOCHS; squared once
+the errors only when this operator (re)starts; _first_group then makes its
+first GROUP_EPOCHS values by single products, and each later group of them
+is the one before it times M^GROUP_EPOCHS (or N^GROUP_EPOCHS; squared once
 per fit, when a first later group is due), one product. Adaptive fusion
 multiplies the weights by trainable coefficients, so it stays sample by
 sample, one head after another. Its steps read the weights only through the
@@ -45,28 +45,29 @@ design evaluated once, in the orders of a fresh shuffle stream of the same
 seed) and reports its failure.
 
 fit trains rows of parameters, one per head (model._params reads them,
-model._set_params writes them back), and loops over chunks of CHUNK_EPOCHS
-epochs. Each epoch writes its rows (and adaptive coefficients) into a chunk
+model._set_params writes them back), and loops over chunks of CHUNK_GROUPS
+groups of GROUP_EPOCHS epochs; only a fit's last chunk can end inside a
+group. Each epoch writes its rows (and adaptive coefficients) into a chunk
 buffer; model._thetas builds theta for the whole chunk, and theta . phi is
-one product per group of GROUP_EPOCHS epochs, counted from the fit's first
-epoch and padded with zero rows where a chunk ends inside a group, so an
-epoch's outputs are bit for bit the same whatever the chunking. Under the
-operator a chunk draws its increments, its rows are their
-cumulative sum (adding as W += U does, epoch by epoch), and its epochs are
-checked once, by a bound on their errors that needs only the rows' norms,
-|E[h, s]| <= max|F[h]| + ||W[h]|| max_s ||J[s]|| (Cauchy-Schwarz). Iterating
-the errors, a chunk draws them and checks each exactly; their running sums C
-(one cumulative sum, as the rows') give the rows W_base + (eta C) DS and the
-outputs Y_base + (eta C) K, K = theta(DS) . phi built once per fit, from the
-rows W_base and outputs Y_base where the operator started. Those outputs
-come by the same groups of products, and rows are formed only where they
-are read: at the fit's end and from a failed check on. The first epoch
-failing the check and the rest of the chunk then train by blocks, which
-raise at the first failing sample (so a false alarm costs only time), as
-every epoch does otherwise, and the next chunk restarts the operator;
-otherwise it draws on from the same groups, so chunk ends leave no trace in
-the bits. fit writes the heads once, after the last epoch or, on
-divergence, from the last completed one.
+one product per group, padded with zero rows where the last chunk ends
+inside one, so an epoch's outputs are bit for bit the same whatever the
+chunking into whole groups. Under the operator a chunk draws its increments
+group by group, its rows are their cumulative sum (adding as W += U does,
+epoch by epoch), and its epochs are checked once, by a bound on their errors
+that needs only the rows' norms, |E[h, s]| <= max|F[h]| + ||W[h]||
+max_s ||J[s]|| (Cauchy-Schwarz). Iterating the errors, a chunk draws them
+and checks each exactly; their running sums C (one cumulative sum, as the
+rows') give the rows W_base + (eta C) DS and the outputs Y_base + (eta C) K,
+K = theta(DS) . phi built once per fit, from the rows W_base and outputs
+Y_base where the operator started. Those outputs come by the same groups of
+products, and rows are formed only where they are read: at the fit's end
+and from a failed check on. The first epoch failing the check and the rest
+of the chunk then train by blocks, which raise at the first failing sample
+(so a false alarm costs only time), as every epoch does otherwise, and the
+next chunk restarts the operator; otherwise the next chunk's first group is
+this chunk's last one times M^GROUP_EPOCHS, as within a chunk, so chunk ends
+leave no trace in the bits. fit writes the heads once, after the last epoch
+or, on divergence, from the last completed one.
 
 Also here: the stable learning-rate estimate 1 / lambda_max of the kernel
 autocorrelation matrix.
@@ -74,9 +75,7 @@ autocorrelation matrix.
 
 from __future__ import annotations
 
-import functools
 import os
-from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +116,14 @@ DIVERGENCE_LIMIT = 1e12
 # RSS by 16%, blocks of 128 by 2%.
 BLOCK_SIZE = 128
 
-# Epochs per chunk of fit: a chunk's epochs are evaluated together, and the
-# error-operator epochs of a chunk are checked together. Its buffers hold one
-# chunk's rows and outputs.
-CHUNK_EPOCHS = 128
-
 # Epochs per group: error-operator increments made by one product, and
 # epochs evaluated by one product.
 GROUP_EPOCHS = 16
+
+# Groups per chunk of fit: a chunk's epochs are evaluated together, and the
+# error-operator epochs of a chunk are checked together. Its buffers hold one
+# chunk's rows and outputs.
+CHUNK_GROUPS = 8
 
 INIT_KINDS = ("uniform", "zeros", "keep")
 
@@ -277,27 +276,14 @@ def _linear_blocks(W: np.ndarray | None, DS: np.ndarray, Drows: np.ndarray, orde
             W = step if W is None else np.add(W, step, out=W)
 
 
-def _increments(U: np.ndarray, M: np.ndarray,
-                M_group: Callable[[], np.ndarray]) -> Generator[None, np.ndarray, None]:
-    """Primed by next(), writes the next len(out) of U, U M, U M^2, ... (the
-    increments, or the errors when M is N) into each buffer out sent to it.
-    Each group of GROUP_EPOCHS after the first is the one before it times
-    M_group() = M^GROUP_EPOCHS, made when its first value is due, whatever
-    the buffers' lengths."""
+def _first_group(U: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """U, U M, ..., U M^(GROUP_EPOCHS - 1) (the increments, or the errors when
+    M is N) by single products: the operator's first group after a start."""
     G = np.empty((GROUP_EPOCHS, *U.shape))
     G[0] = U
     for j in range(1, GROUP_EPOCHS):
         np.matmul(G[j - 1], M, out=G[j])
-    j = 0
-    while True:
-        out = yield
-        i = 0
-        while i < len(out):
-            if j == GROUP_EPOCHS:
-                G, j = np.matmul(G.reshape(-1, len(M)), M_group()).reshape(G.shape), 0
-            m = min(len(out) - i, GROUP_EPOCHS - j)
-            out[i:i + m] = G[j:j + m]
-            i, j = i + m, j + m
+    return G
 
 
 def _gram_block(P2: np.ndarray, Dmat: np.ndarray, idx: np.ndarray,
@@ -445,7 +431,7 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     model it is either an integer label vector (S,) (one-hot targets are built
     internally, coding {0, 1}) or an explicit (C, S) target matrix. eval_set,
     a (X_test, labels_test) pair, enables the per-epoch test-accuracy column
-    and is meaningful for classification runs only.
+    of a multi-head model; a single-output model refuses it.
 
     Deterministic given (cfg.seed, inputs): initialization and the optional
     per-epoch shuffle each draw from their own seed-derived stream. Divergence
@@ -458,8 +444,9 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     of epochs 1..t reports it when the replay fails in epoch t too.
     Fixed and adaptive fusion need a Gaussian and a cosine kernel
     (InvalidModelError); co does not. Heads of different fusion modes are
-    refused (InvalidModelError), non-finite samples or targets
-    (InvalidConfigError) and an empty training or eval set (EmptyInputError).
+    refused (InvalidModelError), non-finite samples or targets and an eval set
+    for a single-output model (InvalidConfigError) and an empty training or
+    eval set (EmptyInputError).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -485,7 +472,9 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
     Drows = np.ascontiguousarray(Dmat.T)
 
     eval_phi = eval_labels = None
-    if eval_set is not None and classification:
+    if eval_set is not None:
+        if not classification:
+            raise InvalidConfigError("an eval set needs a multi-head model")
         X_eval, d_eval = eval_set
         eval_phi = kernel_matrix(np.asarray(X_eval, dtype=np.float64), bank)
         if eval_phi.shape[1] == 0:
@@ -515,24 +504,22 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             DS[:, 1:] = (mode.alpha_gaussian * Pg + mode.alpha_cosine * Pc).T
     # Rows[i + 1] and Alphas[i + 1] receive what epoch i of a chunk trains
     # from Rows[i] and Alphas[i]
-    C = min(CHUNK_EPOCHS, cfg.epochs)
+    G = GROUP_EPOCHS
+    C = min(CHUNK_GROUPS * G, cfg.epochs)
     Rows = np.empty((C + 1, *W.shape))
     Rows[0] = W
     Alphas = np.empty((C + 1, *alphas.shape))
     Alphas[:] = alphas
-    # theta . phi of epoch e (0-based) is row block e % GROUP_EPOCHS of one
-    # (GROUP_EPOCHS H, P) @ (P, S) product per group of epochs (or, iterating
-    # the errors, (eta C) K of a (GROUP_EPOCHS H, S) @ (S, S) one), with zero
-    # rows where a chunk starts or ends inside a group. A GEMM row's bits
-    # depend on the product's shape and the row's place in it, not on the
-    # other rows, so they do not depend on the chunking. The operator's group
-    # length serves: 16 rows already run two to five times as fast as 16
-    # one-epoch products (P from 11 to 243, one OpenBLAS thread).
-    # Theta (and Coef, for eta C) and the outputs hold a chunk's groups; a
-    # chunk starts inside a group only when C is not a multiple of G.
-    G = GROUP_EPOCHS
-    span = C if C % G == 0 else C + G - 1
-    span = -(-span // G) * G
+    # theta . phi of epoch e (0-based) is row block e % G of one
+    # (G H, P) @ (P, S) product per group of epochs (or, iterating the
+    # errors, (eta C) K of a (G H, S) @ (S, S) one), with zero rows where
+    # the last chunk ends inside a group. A GEMM row's bits depend on the
+    # product's shape and the row's place in it, not on the other rows, so
+    # they do not depend on where the fit ends. The operator's group length
+    # serves: 16 rows already run two to five times as fast as 16 one-epoch
+    # products (P from 11 to 243, one OpenBLAS thread). Theta (and Coef, for
+    # eta C) and the outputs hold a chunk's groups.
+    span = -(-C // G) * G
     Theta = np.zeros((span, H, len(Phi)))
     Out = np.empty((span, H, S))
     # the design of each evaluated set and its outputs
@@ -561,13 +548,13 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
             # an epoch's multiply-adds per head, U M and theta . phi against
             # E N and (eta C) K, choose between the increments and the errors.
             # M = I - eta J^T DS (or N = I - eta DS J^T) is built in place,
-            # and its GROUP_EPOCHS-th power by squarings, on first use and
-            # once per fit.
+            # and M_group, its G-th power, by squarings when a later group
+            # is first due, once per fit.
             errors = 2 * S * S < DS.shape[1] ** 2 + len(Phi) * S
             M = DS @ JT if errors else JT @ DS
             M *= -eta
             M.flat[::M.shape[0] + 1] += 1.0
-            M_group = functools.cache(lambda: np.linalg.matrix_power(M, GROUP_EPOCHS))
+            M_group = None
             if errors:
                 # Sums[i] is C before epoch i of a chunk, as Rows[i] is W
                 Sums = np.empty((C + 1, H, S))
@@ -603,18 +590,22 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                             theta = _thetas(W_base, Alphas[0], bank)
                             Y_base = [theta @ basis for basis, _ in sets]
                             Sums[0] = 0.0
-                        increments = _increments(E if errors else np.matmul(eta * E, DS),
-                                                 M, M_group)
-                        next(increments)
+                        group = _first_group(E if errors else np.matmul(eta * E, DS), M)
+                    # the chunk's groups: after a restart the first is made,
+                    # each later one is the group before it times M_group
+                    drawn = Sums if errors else Rows
+                    for g in range(0, n, G):
+                        if g or not restart:
+                            if M_group is None:
+                                M_group = np.linalg.matrix_power(M, G)
+                            group = (group.reshape(-1, len(M)) @ M_group).reshape(group.shape)
+                        drawn[1 + g:1 + n][:G] = group[:n - g]
                     if errors:
-                        increments.send(Sums[1:n + 1])
                         ok = np.abs(Sums[1:n + 1]).max(axis=(1, 2)) <= DIVERGENCE_LIMIT
-                        # Sums[i + 1] = Sums[i] + E_i, epoch after epoch
-                        np.cumsum(Sums[:n + 1], axis=0, out=Sums[:n + 1])
-                    else:
-                        increments.send(Rows[1:n + 1])
-                        # Rows[i + 1] = Rows[i] + U_i, epoch after epoch
-                        np.cumsum(Rows[:n + 1], axis=0, out=Rows[:n + 1])
+                    # Rows[i + 1] = Rows[i] + U_i (or Sums[i + 1] = Sums[i] + E_i),
+                    # epoch after epoch
+                    np.cumsum(drawn[:n + 1], axis=0, out=drawn[:n + 1])
+                    if not errors:
                         bound = fmax + jmax * np.linalg.norm(Rows[:n], axis=2)
                         ok = (bound <= DIVERGENCE_LIMIT).all(axis=1)
                 k = n if ok.all() else int(np.argmin(ok))
@@ -686,31 +677,29 @@ def fit(model: RbfModel | MultiHeadRbfModel, X: np.ndarray, D,
                     W[c, 0], alphas[c] = b, (ag, ac)
                 if failed:
                     raise _first_failure(failed, order)
-            # the chunk's epochs are rows lo .. hi - 1 of its groups
+            # the chunk's epochs are rows 0 .. n - 1 of its groups
             done = slice(t0, t0 + n)
-            lo = t0 % G
-            hi = lo + n
-            end = -(-hi // G) * G
+            end = -(-n // G) * G
             # outputs are theta . phi of the rows or, where every epoch of
             # the chunk ran on the error operator, Y_base + (eta C) K
             summed = errors and not restart
             B = Coef if summed else Theta
-            B[:lo], B[hi:end] = 0.0, 0.0
+            B[n:end] = 0.0
             if summed:
-                np.multiply(eta, Sums[1:n + 1], out=B[lo:hi])
+                np.multiply(eta, Sums[1:n + 1], out=B[:n])
             else:
-                _thetas(Rows[1:n + 1], Alphas[1:n + 1], bank, out=B[lo:hi])
+                _thetas(Rows[1:n + 1], Alphas[1:n + 1], bank, out=B[:n])
             groups = B[:end].reshape(-1, G * H, B.shape[2])
             for j, (basis, Y_set) in enumerate(sets):
                 np.matmul(groups, Ks[j] if summed else basis,
                           out=Y_set[:end].reshape(len(groups), G * H, -1))
                 if summed:
-                    Y_set[lo:hi] += Y_base[j]
-            Y = Out[lo:hi]
+                    Y_set[:n] += Y_base[j]
+            Y = Out[:n]
             if classification:
                 train_acc[done] = np.mean(np.argmax(Y, axis=1) == truth, axis=1)
             if eval_phi is not None:
-                preds = np.argmax(Out_eval[lo:hi], axis=1)
+                preds = np.argmax(Out_eval[:n], axis=1)
                 test_acc[done] = np.mean(preds == eval_labels, axis=1)
             err = np.subtract(Dmat, Y, out=Y)
             # each epoch's np.add.reduce(err * err, axis=None) / err.size

@@ -15,7 +15,7 @@ from corbf.kernels import (CosineParams, GaussianParams, KernelBank,
                            kernel_matrix, kernel_vector)
 from corbf.model import (AdaptiveFusion, CoFusion, FixedFusion,
                          MultiHeadRbfModel, RbfModel, forward, forward_batch)
-from corbf.trainer import (BLOCK_SIZE, CHUNK_EPOCHS, GROUP_EPOCHS, INIT_KINDS, TrainConfig,
+from corbf.trainer import (BLOCK_SIZE, CHUNK_GROUPS, GROUP_EPOCHS, INIT_KINDS, TrainConfig,
                            TrainTrace, fit, learning_rate_bound, read_trace_csv,
                            sgd_step, write_trace_csv)
 
@@ -374,6 +374,15 @@ class TestFit:
         labels = np.arange(12) % 3
         with pytest.raises(EmptyInputError):
             fit(model, X, labels, TrainConfig(eta=eta, epochs=1), (X[:, :0], labels[:0]))
+
+    def test_rejects_an_eval_set_for_one_head(self):
+        # unchecked, a single-output fit ignored it and returned test_acc None
+        model, X, D, eta = fit_problem("co", 1, 12, seed=70)
+        start = model.copy()
+        with pytest.raises(InvalidConfigError, match="eval set"):
+            fit(model, X, D, TrainConfig(eta=eta, epochs=1),
+                (np.full((5, 2), np.nan), "junk"))
+        np.testing.assert_array_equal(head_params(model), head_params(start))
 
 
 FIT_MODES = {"fixed": lambda: FixedFusion(0.3, 0.7), "co": CoFusion,
@@ -751,13 +760,14 @@ class TestBlockEngine:
         # F - W J^T cancels at 1e300 and fails the operator's check in every
         # epoch (the bound over the increments, the exact check over the
         # errors). Each epoch then trains by blocks, which do not raise, and
-        # the second chunk goes back to the operator first.
+        # the second chunk (of one group) goes back to the operator first.
         model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=1.5, seed=64)
         for h in (model.heads if n_heads > 1 else [model]):
             h.bias = 1e300
         D[...] = 1e300
         start = model.copy()
-        cfg = TrainConfig(eta=eta, epochs=CHUNK_EPOCHS + 3, init="keep")
+        monkeypatch.setattr(trainer, "CHUNK_GROUPS", 1)
+        cfg = TrainConfig(eta=eta, epochs=GROUP_EPOCHS + 3, init="keep")
         epochs_by_blocks = []
         linear_blocks = trainer._linear_blocks
 
@@ -781,12 +791,16 @@ class TestBlockEngine:
     @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
     def test_chunking_leaves_no_trace_in_the_bits(self, mode, n_heads, shuffle, K, S,
                                                   monkeypatch):
-        # fit evaluates its epochs, and checks its error-operator epochs, a
-        # chunk of CHUNK_EPOCHS at a time. A fit ending before, at or after a
-        # chunk's end holds the first epochs of a longer fit bit for bit, and
-        # ends with the rows of the same fit run one epoch per chunk.
-        C = CHUNK_EPOCHS
-        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, seed=62)
+        # fit evaluates its epochs, and checks and draws its error-operator
+        # epochs, a chunk of whole groups at a time; only its last chunk can
+        # end inside a group. Fits ending one epoch before, at and after a
+        # group's end and the end of a chunk of one or two groups hold the
+        # first epochs of a longer fit bit for bit, and every column and
+        # final row of each equals, bit for bit, the same fit in chunks of one
+        # group and of two.
+        G = GROUP_EPOCHS
+        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=0.5 if mode == "adaptive"
+                                       else 1.9, seed=62)
         rng = np.random.default_rng(63)
         eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, S)) if n_heads == 3 else None
 
@@ -795,35 +809,38 @@ class TestBlockEngine:
                                                        shuffle=shuffle, init="keep"),
                        eval_set)
 
-        columns = ("epochs", "mse_linear", "mse_db", "train_acc", "test_acc")
-        full = run(2 * C + 5)
-        assert (full.test_acc is None) == (eval_set is None)
-        traces = {T: run(T) for T in (1, C - 1, C, C + 1, 2 * C + 3)}
-        monkeypatch.setattr(trainer, "CHUNK_EPOCHS", 1)
-        for T, trace in traces.items():
-            for name in columns:
-                got, want = getattr(trace, name), getattr(full, name)
-                if want is None:
-                    assert got is None
+        def assert_columns_equal(got, want, T):
+            for name in ("epochs", "mse_linear", "mse_db", "train_acc", "test_acc"):
+                if getattr(want, name) is None:
+                    assert getattr(got, name) is None
                 else:
-                    np.testing.assert_array_equal(got, want[:T])
-            single = run(T)
-            for name in columns:
-                np.testing.assert_array_equal(getattr(trace, name), getattr(single, name))
-            np.testing.assert_array_equal(head_params(trace.final_model),
-                                          head_params(single.final_model))
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name)[:T])
+
+        full = run(3 * G + 5)
+        assert (full.test_acc is None) == (eval_set is None)
+        whole = {T: run(T) for T in (1, G - 1, G, G + 1, 2 * G - 1, 2 * G, 2 * G + 1)}
+        for T, trace in whole.items():
+            assert_columns_equal(trace, full, T)
+        for groups in (1, 2):
+            monkeypatch.setattr(trainer, "CHUNK_GROUPS", groups)
+            for T, want in whole.items():
+                got = run(T)
+                assert_columns_equal(got, want, T)
+                np.testing.assert_array_equal(head_params(got.final_model),
+                                              head_params(want.final_model))
 
     @pytest.mark.parametrize("K,S", [(3, 40), DESIGNS[1]])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["fixed", "co"])
     def test_increments_carried_across_chunks_match_sequential_steps(self, mode, n_heads,
-                                                                     K, S):
+                                                                     K, S, monkeypatch):
         # in dataset order each epoch's increments are the last one's times
         # M = I - eta J^T DS (or its errors the last one's times
-        # N = I - eta DS J^T), carried from chunk to chunk
+        # N = I - eta DS J^T), carried from chunk to chunk (of two groups)
         model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=1.9, seed=75)
+        monkeypatch.setattr(trainer, "CHUNK_GROUPS", 2)
         assert_fit_matches_replay(model, X, D, TrainConfig(
-            eta=eta, epochs=2 * CHUNK_EPOCHS + 5, seed=9, init="keep"))
+            eta=eta, epochs=4 * GROUP_EPOCHS + 5, seed=9, init="keep"))
 
     @pytest.mark.parametrize("task", ["sysid", "funapprox"])
     @pytest.mark.parametrize("arch", ["manual", "co"])
@@ -835,13 +852,13 @@ class TestBlockEngine:
         X, D, bank, _ = bench._problem(cfg, 0)
         model = bench._single_head(bank, arch)
         made = []
-        increments = trainer._increments
+        first_group = trainer._first_group
 
         def spy(*args):
             made.append(args[0].shape)
-            return increments(*args)
+            return first_group(*args)
 
-        monkeypatch.setattr(trainer, "_increments", spy)
+        monkeypatch.setattr(trainer, "_first_group", spy)
         fit(model, X, D, dataclasses.replace(bench._train_config(cfg, 0), epochs=1))
         P = 1 + model.weights.size
         assert (X.shape[1] > P) == (task == "sysid")
@@ -856,10 +873,10 @@ class TestBlockEngine:
         # heads in the second chunk): only that epoch trains by blocks, and
         # fit raises the steps' epoch, sample and value and leaves the rows of
         # a fit one epoch shorter, bit for bit, also where that epoch starts
-        # a chunk.
+        # a chunk (groups of one epoch, epoch - 1 of them to a chunk).
         K, S = DESIGNS[1]
         model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=1.9, seed=seed)
-        cfg = TrainConfig(eta=eta, epochs=2 * CHUNK_EPOCHS + 5, init="keep")
+        cfg = TrainConfig(eta=eta, epochs=2 * CHUNK_GROUPS * GROUP_EPOCHS + 5, init="keep")
         errors = []
 
         def record(*args, **kwargs):
@@ -874,7 +891,6 @@ class TestBlockEngine:
         with pytest.raises(DivergenceError) as want:
             replay_fit(model.copy(), X, D, cfg)
         assert want.value.epoch == epoch
-        done = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=epoch - 1))
         epochs_by_blocks = []
         linear_blocks = trainer._linear_blocks
 
@@ -883,8 +899,10 @@ class TestBlockEngine:
             linear_blocks(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "_linear_blocks", spy)
-        for chunk in (CHUNK_EPOCHS, epoch - 1):
-            monkeypatch.setattr(trainer, "CHUNK_EPOCHS", chunk)
+        for schedule in ({}, {"GROUP_EPOCHS": 1, "CHUNK_GROUPS": epoch - 1}):
+            for name, value in schedule.items():
+                monkeypatch.setattr(trainer, name, value)
+            done = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=epoch - 1))
             epochs_by_blocks.clear()
             got_model = model.copy()
             with pytest.raises(DivergenceError) as got:
@@ -899,25 +917,29 @@ class TestBlockEngine:
             np.testing.assert_array_equal(head_params(got_model),
                                           head_params(done.final_model))
 
+    @pytest.mark.parametrize("groups", [1, 2])
     @pytest.mark.parametrize("start", ["growing", "shrinking"])
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["fixed", "co"])
-    def test_operator_bound_false_alarm_trains_on(self, mode, n_heads, start, monkeypatch):
+    def test_operator_bound_false_alarm_trains_on(self, mode, n_heads, start, groups,
+                                                  monkeypatch):
         # The first epoch's errors are the largest: from zero rows to targets
         # near 100 (growing), or from a bias of 1000 to targets near 0
         # (shrinking). The bound max|F| + ||W|| max||J|| grows, or shrinks,
         # with the bias, and a limit between it and every sequential error
         # fails the bound where no step fails. Growing rows fail it from
         # epoch 2 on, shrinking ones in epoch 1: the failing epoch and the
-        # rest of its chunk train by blocks, and the next chunk restarts the
-        # operator, which fails again on growing rows and passes on shrunk ones.
+        # rest of its chunk (of one group or two) train by blocks, and the
+        # next chunk restarts the operator, which fails again at once on
+        # growing rows and runs to the end, across a chunk end, on shrunk ones.
+        C = groups * GROUP_EPOCHS
         model, X, D, eta = fit_problem(mode, n_heads, 40, seed=76)
         if start == "growing":
             D = D + 100.0
         else:
             for h in (model.heads if n_heads > 1 else [model]):
                 h.bias = 1000.0
-        cfg = TrainConfig(eta=eta, epochs=CHUNK_EPOCHS + 3,
+        cfg = TrainConfig(eta=eta, epochs=2 * C + 5,
                           init="zeros" if start == "growing" else "keep")
         errors = []
 
@@ -929,114 +951,7 @@ class TestBlockEngine:
         monkeypatch.setattr(helpers, "sgd_step", record)
         replay_fit(model.copy(), X, D, cfg)
         monkeypatch.setattr(trainer, "DIVERGENCE_LIMIT", 1.25 * max(errors))
-        epochs_by_blocks = []
-        linear_blocks = trainer._linear_blocks
-
-        def spy(*args, **kwargs):
-            epochs_by_blocks.append(args[6])
-            linear_blocks(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "_linear_blocks", spy)
-        assert_fit_matches_replay(model.copy(), X, D, cfg)
-        # the unchecked build of [F | J], then the epochs by blocks
-        assert epochs_by_blocks == [None, *(range(2, cfg.epochs + 1) if start == "growing"
-                                            else range(1, CHUNK_EPOCHS + 1))]
-        # the second chunk starts afresh from the rows the blocks left, bit
-        # for bit as a new fit from them
-        trace = fit(model.copy(), X, D, cfg)
-        first = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=CHUNK_EPOCHS))
-        rest = fit(first.final_model, X, D, dataclasses.replace(cfg, epochs=3, init="keep"))
-        np.testing.assert_array_equal(trace.mse_linear[CHUNK_EPOCHS:], rest.mse_linear)
-        np.testing.assert_array_equal(head_params(trace.final_model),
-                                      head_params(rest.final_model))
-
-    @pytest.mark.parametrize("n_heads", [1, 3])
-    @pytest.mark.parametrize("mode", ["fixed", "co"])
-    def test_grouped_increments_are_repeated_products(self, mode, n_heads, monkeypatch):
-        # each group of GROUP_EPOCHS increments is the group before it times
-        # M^GROUP_EPOCHS; over more than three groups, drawn by buffers that
-        # end inside groups and at their ends, they stay U M^i. At frac 1.9
-        # fit's M has eigenvalues near -0.9, which flip sign and decay slowly.
-        model, X, D, eta = fit_problem(mode, n_heads, 40, frac=1.9, seed=75)
-        made = []
-        increments = trainer._increments
-
-        def spy(*args):
-            made.append(args)
-            return increments(*args)
-
-        monkeypatch.setattr(trainer, "_increments", spy)
-        fit(model, X, D, TrainConfig(eta=eta, epochs=1, init="keep"))
-        U, M, M_group = made[0]
-        want = [U]
-        for _ in range(3 * GROUP_EPOCHS + 4):
-            want.append(want[-1] @ M)
-        got = np.empty((len(want), *U.shape))
-        drawn = increments(U, M, M_group)
-        next(drawn)
-        ends = [0, 1, 7, GROUP_EPOCHS, 2 * GROUP_EPOCHS + 3, len(got)]
-        for lo, hi in zip(ends, ends[1:]):
-            drawn.send(got[lo:hi])
-        np.testing.assert_array_equal(got[:GROUP_EPOCHS], want[:GROUP_EPOCHS])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(U).max())
-
-    @pytest.mark.parametrize("n_heads", [1, 3])
-    @pytest.mark.parametrize("mode", ["fixed", "co"])
-    def test_chunks_inside_operator_groups_leave_no_trace(self, mode, n_heads,
-                                                          monkeypatch):
-        # the operator's groups run on across chunk ends: chunks of 5 and 24
-        # epochs, which end inside groups, leave every column and row of a
-        # fit bit for bit as one chunk does
-        model, X, D, eta = fit_problem(mode, n_heads, 24, frac=1.9, seed=62)
-        rng = np.random.default_rng(63)
-        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, 24)) if n_heads == 3 else None
-        cfg = TrainConfig(eta=eta, epochs=3 * GROUP_EPOCHS + 7, seed=5, init="keep")
-        assert cfg.epochs < CHUNK_EPOCHS
-        whole = fit(model.copy(), X, D, cfg, eval_set)
-        for chunk in (5, 24):
-            monkeypatch.setattr(trainer, "CHUNK_EPOCHS", chunk)
-            trace = fit(model.copy(), X, D, cfg, eval_set)
-            for name in ("mse_linear", "mse_db", "train_acc", "test_acc"):
-                got, want = getattr(trace, name), getattr(whole, name)
-                if want is None:
-                    assert got is None
-                else:
-                    np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(head_params(trace.final_model),
-                                          head_params(whole.final_model))
-
-    @pytest.mark.parametrize("start", ["growing", "shrinking"])
-    @pytest.mark.parametrize("n_heads", [1, 3])
-    @pytest.mark.parametrize("mode", ["fixed", "co"])
-    def test_operator_bound_false_alarm_restarts_in_mid_group(self, mode, n_heads, start,
-                                                              monkeypatch):
-        # The false alarms of test_operator_bound_false_alarm_trains_on, in
-        # chunks of 24 epochs. A chunk draws 24 increments, one group and half
-        # of the next, so a restart leaves a group half drawn. Growing rows
-        # fail the bound from epoch 2 on, and every chunk's restart at once;
-        # shrinking ones fail it in the first chunk, and the operator
-        # restarted at epoch 25 runs to the end, across chunk ends inside
-        # its groups.
-        C = 24
-        model, X, D, eta = fit_problem(mode, n_heads, 40, seed=76)
-        if start == "growing":
-            D = D + 100.0
-        else:
-            for h in (model.heads if n_heads > 1 else [model]):
-                h.bias = 1000.0
-        cfg = TrainConfig(eta=eta, epochs=3 * C + 5,
-                          init="zeros" if start == "growing" else "keep")
-        errors = []
-
-        def record(*args, **kwargs):
-            e = sgd_step(*args, **kwargs)
-            errors.append(abs(e))
-            return e
-
-        monkeypatch.setattr(helpers, "sgd_step", record)
-        replay_fit(model.copy(), X, D, cfg)
-        monkeypatch.setattr(trainer, "DIVERGENCE_LIMIT", 1.25 * max(errors))
-        monkeypatch.setattr(trainer, "CHUNK_EPOCHS", C)
+        monkeypatch.setattr(trainer, "CHUNK_GROUPS", groups)
         epochs_by_blocks = []
         linear_blocks = trainer._linear_blocks
 
@@ -1051,7 +966,7 @@ class TestBlockEngine:
                                             else range(1, C + 1))]
         # from its last restart the fit is, bit for bit, a new fit from the
         # rows the blocks left
-        restart = 3 * C if start == "growing" else C
+        restart = 2 * C if start == "growing" else C
         trace = fit(model.copy(), X, D, cfg)
         first = fit(model.copy(), X, D, dataclasses.replace(cfg, epochs=restart))
         rest = fit(first.final_model, X, D,
@@ -1060,40 +975,44 @@ class TestBlockEngine:
         np.testing.assert_array_equal(head_params(trace.final_model),
                                       head_params(rest.final_model))
 
-    @pytest.mark.parametrize("K,S", DESIGNS)
-    @pytest.mark.parametrize("shuffle", [False, True])
     @pytest.mark.parametrize("n_heads", [1, 3])
-    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
-    def test_chunks_inside_evaluation_groups_leave_no_trace(self, mode, n_heads, shuffle,
-                                                            K, S, monkeypatch):
-        # fit evaluates GROUP_EPOCHS epochs by one product, the groups counted
-        # from the fit's first epoch: chunks of 5, 16, 17 and 24 epochs, which
-        # start and end inside groups, leave every column and row of fits
-        # ending one epoch before, at and after a group's end, and one epoch
-        # after the first default chunk, bit for bit as the default chunks do
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_grouped_increments_are_repeated_products(self, mode, n_heads, monkeypatch):
+        # the first group of GROUP_EPOCHS increments is U M^i by single
+        # products, bit for bit, and each later group is the group before it
+        # times M^GROUP_EPOCHS; over more than three groups they stay U M^i.
+        # fit's rows are the running sum of exactly these groups. At frac
+        # 1.9 fit's M has eigenvalues near -0.9, which flip sign and decay
+        # slowly.
         G = GROUP_EPOCHS
-        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=0.5 if mode == "adaptive"
-                                       else 1.9, seed=62)
-        rng = np.random.default_rng(63)
-        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, S)) if n_heads == 3 else None
+        model, X, D, eta = fit_problem(mode, n_heads, 40, frac=1.9, seed=75)
+        made = []
+        first_group = trainer._first_group
 
-        def run(epochs):
-            return fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, seed=5,
-                                                       shuffle=shuffle, init="keep"),
-                       eval_set)
+        def spy(*args):
+            made.append(args)
+            return first_group(*args)
 
-        whole = {T: run(T) for T in (3 * G - 1, 3 * G, 3 * G + 1, CHUNK_EPOCHS + 1)}
-        for chunk in (5, G, G + 1, 24):
-            monkeypatch.setattr(trainer, "CHUNK_EPOCHS", chunk)
-            for T, want in whole.items():
-                got = run(T)
-                for name in ("epochs", "mse_linear", "mse_db", "train_acc", "test_acc"):
-                    if getattr(want, name) is None:
-                        assert getattr(got, name) is None
-                    else:
-                        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-                np.testing.assert_array_equal(head_params(got.final_model),
-                                              head_params(want.final_model))
+        monkeypatch.setattr(trainer, "_first_group", spy)
+        T = 3 * G + 4
+        trace = fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=T, init="keep"))
+        U, M = made[0]
+        want = [U]
+        for _ in range(T - 1):
+            want.append(want[-1] @ M)
+        groups = [first_group(U, M)]
+        M_group = np.linalg.matrix_power(M, G)
+        while len(groups) * G < T:
+            groups.append((groups[-1].reshape(-1, len(M)) @ M_group).reshape(groups[-1].shape))
+        got = np.concatenate(groups)[:T]
+        np.testing.assert_array_equal(got[:G], want[:G])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(U).max())
+        rows = trainer._params(model.heads if n_heads > 1 else [model])[0]
+        for increment in got:
+            rows = rows + increment
+        final = trace.final_model
+        np.testing.assert_array_equal(
+            trainer._params(final.heads if n_heads > 1 else [final])[0], rows)
 
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["fixed", "co"])
@@ -1102,13 +1021,13 @@ class TestBlockEngine:
         # due: never in a fit of GROUP_EPOCHS epochs, once in one of
         # GROUP_EPOCHS + 1, and once in a fit whose operator restarts after
         # drawing a second group (the shrinking false alarm of
-        # test_operator_bound_false_alarm_restarts_in_mid_group)
+        # test_operator_bound_false_alarm_trains_on, in chunks of two groups)
         G = GROUP_EPOCHS
         model, X, D, eta = fit_problem(mode, n_heads, 40, seed=76)
         for h in (model.heads if n_heads > 1 else [model]):
             h.bias = 1000.0
         powers, starts = [], []
-        matrix_power, increments = np.linalg.matrix_power, trainer._increments
+        matrix_power, first_group = np.linalg.matrix_power, trainer._first_group
 
         def count_power(M, k):
             powers.append(k)
@@ -1116,15 +1035,15 @@ class TestBlockEngine:
 
         def count_start(*args):
             starts.append(args)
-            return increments(*args)
+            return first_group(*args)
 
         monkeypatch.setattr(np.linalg, "matrix_power", count_power)
-        monkeypatch.setattr(trainer, "_increments", count_start)
+        monkeypatch.setattr(trainer, "_first_group", count_start)
         for epochs, want in ((G, []), (G + 1, [G])):
             powers.clear()
             fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, init="keep"))
             assert powers == want
-        cfg = TrainConfig(eta=eta, epochs=3 * 24 + 5, init="keep")
+        cfg = TrainConfig(eta=eta, epochs=4 * G + 5, init="keep")
         errors = []
 
         def record(*args, **kwargs):
@@ -1135,7 +1054,7 @@ class TestBlockEngine:
         monkeypatch.setattr(helpers, "sgd_step", record)
         replay_fit(model.copy(), X, D, cfg)
         monkeypatch.setattr(trainer, "DIVERGENCE_LIMIT", 1.25 * max(errors))
-        monkeypatch.setattr(trainer, "CHUNK_EPOCHS", 24)
+        monkeypatch.setattr(trainer, "CHUNK_GROUPS", 2)
         powers.clear()
         starts.clear()
         fit(model.copy(), X, D, cfg)
