@@ -1016,6 +1016,82 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("n_heads", [1, 3])
     @pytest.mark.parametrize("mode", ["fixed", "co"])
+    def test_chunks_inside_operator_groups_leave_no_trace(self, mode, n_heads,
+                                                          monkeypatch):
+        # the operator's groups run on across chunk ends, over the increments
+        # (3 kernels, 24 samples) and over the errors (16 kernels, 12
+        # samples): chunks of one and three groups, the last of which ends
+        # inside a group, leave every column and row of a fit bit for bit as
+        # one chunk does, and every epoch runs on the operator
+        cfg = TrainConfig(eta=1.0, epochs=3 * GROUP_EPOCHS + 7, seed=5, init="keep")
+        assert cfg.epochs < CHUNK_GROUPS * GROUP_EPOCHS
+        epochs_by_blocks = []
+        linear_blocks = trainer._linear_blocks
+
+        def spy(*args, **kwargs):
+            epochs_by_blocks.append(args[6])
+            linear_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_linear_blocks", spy)
+        for K, S in DESIGNS:
+            model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=1.9, seed=62)
+            rng = np.random.default_rng(63)
+            eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, S)) if n_heads == 3 else None
+            run = dataclasses.replace(cfg, eta=eta)
+            monkeypatch.setattr(trainer, "CHUNK_GROUPS", CHUNK_GROUPS)
+            whole = fit(model.copy(), X, D, run, eval_set)
+            for groups in (1, 3):
+                monkeypatch.setattr(trainer, "CHUNK_GROUPS", groups)
+                epochs_by_blocks.clear()
+                trace = fit(model.copy(), X, D, run, eval_set)
+                assert epochs_by_blocks == [None]
+                for name in ("mse_linear", "mse_db", "train_acc", "test_acc"):
+                    got, want = getattr(trace, name), getattr(whole, name)
+                    if want is None:
+                        assert got is None
+                    else:
+                        np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(head_params(trace.final_model),
+                                              head_params(whole.final_model))
+
+    @pytest.mark.parametrize("K,S", DESIGNS)
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["co", "fixed", "adaptive"])
+    def test_chunks_inside_evaluation_groups_leave_no_trace(self, mode, n_heads, shuffle,
+                                                            K, S, monkeypatch):
+        # fit evaluates GROUP_EPOCHS epochs by one product, the groups counted
+        # from the fit's first epoch, and a fit's last chunk can end inside a
+        # group: chunks of one and of three groups leave every column and row
+        # of fits ending one epoch before, at and after a group's end, and
+        # one epoch after the first default chunk, bit for bit as the
+        # default chunks do
+        G = GROUP_EPOCHS
+        model, X, D, eta = fit_problem(mode, n_heads, S, K=K, frac=0.5 if mode == "adaptive"
+                                       else 1.9, seed=62)
+        rng = np.random.default_rng(63)
+        eval_set = (rng.normal(size=X.shape), rng.integers(0, 3, S)) if n_heads == 3 else None
+
+        def run(epochs):
+            return fit(model.copy(), X, D, TrainConfig(eta=eta, epochs=epochs, seed=5,
+                                                       shuffle=shuffle, init="keep"),
+                       eval_set)
+
+        whole = {T: run(T) for T in (3 * G - 1, 3 * G, 3 * G + 1, CHUNK_GROUPS * G + 1)}
+        for groups in (1, 3):
+            monkeypatch.setattr(trainer, "CHUNK_GROUPS", groups)
+            for T, want in whole.items():
+                got = run(T)
+                for name in ("epochs", "mse_linear", "mse_db", "train_acc", "test_acc"):
+                    if getattr(want, name) is None:
+                        assert getattr(got, name) is None
+                    else:
+                        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                np.testing.assert_array_equal(head_params(got.final_model),
+                                              head_params(want.final_model))
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    @pytest.mark.parametrize("mode", ["fixed", "co"])
     def test_group_power_is_made_once_when_first_due(self, mode, n_heads, monkeypatch):
         # M^GROUP_EPOCHS is made when a second group of increments is first
         # due: never in a fit of GROUP_EPOCHS epochs, once in one of
